@@ -9,7 +9,7 @@
  * machine; more SMs means more concurrent faults, which hurts
  * CPU-handled paging and helps GPU-local handling.
  *
- *     gexsim-scal-sms [--jobs N] [--sm-threads N] [--json FILE]
+ *     scal_sms [--jobs N] [--sm-threads N] [--json FILE]
  *
  * --jobs parallelizes across grid points, --sm-threads sets the
  * parallel-engine thread count of the wall-clock section (simulated
@@ -17,10 +17,11 @@
  */
 
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <thread>
 
-#include "bench_util.hpp"
+#include "gex.hpp"
 
 using namespace gex;
 
@@ -40,11 +41,13 @@ struct ScalingRow {
 };
 
 double
-wallOf(const bench::TracedWorkload &tw, const gpu::GpuConfig &cfg,
+wallOf(const harness::TracedWorkload &tw, const gpu::GpuConfig &cfg,
        std::uint64_t &cycles_out)
 {
     auto t0 = Clock::now();
-    gpu::SimResult r = bench::runConfig(tw, cfg);
+    gpu::Gpu g(cfg);
+    gpu::SimResult r =
+        g.run(tw.kernel, tw.trace, vm::VmPolicy::allResident());
     auto t1 = Clock::now();
     cycles_out = r.cycles;
     return std::chrono::duration<double>(t1 - t0).count();
@@ -55,13 +58,27 @@ wallOf(const bench::TracedWorkload &tw, const gpu::GpuConfig &cfg,
 static int
 toolMain(int argc, char **argv)
 {
-    bench::SweepOptions opt =
-        bench::parseSweepArgs(argc, argv, "gexsim-scal-sms");
-    const int smThreads = opt.smThreads > 1 ? opt.smThreads : 4;
+    int jobs = 1, smThreads = 4;
+    std::string jsonPath;
+    cli::ArgParser p("scal_sms",
+                     "SM-count scalability study and tick-engine wall "
+                     "clocks");
+    p.option("--jobs", "N", "worker threads (default 1; 0 = all cores)",
+             [&](const std::string &v) {
+                 jobs = cli::parseIntFlag("--jobs", v, 0, 4096);
+             });
+    p.option("--sm-threads", "N",
+             "SM-tick threads of the wall-clock section (default 4)",
+             [&](const std::string &v) {
+                 smThreads = cli::parseIntFlag("--sm-threads", v, 1, 4096);
+             });
+    p.option("--json", "FILE", "write the full result set as JSON",
+             [&](const std::string &v) { jsonPath = v; });
+    p.parse(argc, argv);
 
     // --- grid 1: scheme cost vs SM count (fault-free) -------------------
     const std::vector<std::string> picks = {"lbm", "sgemm", "histo"};
-    harness::SweepEngine eng(opt.jobs);
+    harness::SweepEngine eng(jobs);
     for (const auto &name : picks) {
         for (int n : kSchemeSms) {
             for (gpu::Scheme s :
@@ -145,7 +162,7 @@ toolMain(int argc, char **argv)
     std::printf("%8s %12s %12s %12s %10s\n", "SMs", "cycles",
                 "serial s", "parallel s", "speedup");
     std::vector<ScalingRow> scaling;
-    const bench::TracedWorkload &lbm = eng.traces().get("lbm");
+    const harness::TracedWorkload &lbm = eng.traces().get("lbm");
     for (int n : kScalingSms) {
         gpu::GpuConfig cfg = gpu::GpuConfig::baseline();
         cfg.numSms = n;
@@ -171,10 +188,10 @@ toolMain(int argc, char **argv)
     std::printf("\npaper section 5.5: local-handling benefit grows with "
                 "SM count (more concurrent faults).\n");
 
-    if (!opt.jsonPath.empty()) {
-        std::ofstream os(opt.jsonPath);
+    if (!jsonPath.empty()) {
+        std::ofstream os(jsonPath);
         if (!os)
-            fatal("cannot open '%s' for writing", opt.jsonPath.c_str());
+            fatal("cannot open '%s' for writing", jsonPath.c_str());
         json::Writer w(os);
         w.beginObject();
         w.key("name").value("scal_sms");
@@ -233,7 +250,7 @@ toolMain(int argc, char **argv)
         w.endObject();
         os << "\n";
         GEX_ASSERT(w.complete());
-        std::printf("[wrote %s]\n", opt.jsonPath.c_str());
+        std::printf("[wrote %s]\n", jsonPath.c_str());
     }
     return 0;
 }

@@ -1,5 +1,6 @@
 #include "check/oracle.hpp"
 
+#include "common/digest.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "func/functional_sim.hpp"
@@ -9,22 +10,6 @@
 #include "workloads/workloads.hpp"
 
 namespace gex::check {
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void
-mix(std::uint64_t &h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xff;
-        h *= kFnvPrime;
-    }
-}
-
-} // namespace
 
 std::string
 ArchFingerprint::toString() const
@@ -38,23 +23,23 @@ ArchFingerprint::toString() const
 std::uint64_t
 traceDigest(const trace::KernelTrace &trace)
 {
-    std::uint64_t h = kFnvOffset;
+    Fnv1a f;
     for (const trace::BlockTrace &bt : trace.blocks) {
-        mix(h, bt.blockId);
+        f.u64(bt.blockId);
         for (const trace::WarpTrace &wt : bt.warps) {
-            mix(h, wt.insts.size());
+            f.u64(wt.insts.size());
             for (const trace::TraceInst &ti : wt.insts) {
-                mix(h, ti.staticIdx);
-                mix(h, static_cast<std::uint64_t>(ti.active));
-                mix(h, (static_cast<std::uint64_t>(ti.numLines) << 17) ^
-                           ti.numActive ^ (ti.arithFault ? 1ull << 40 : 0));
+                f.u64(ti.staticIdx);
+                f.u64(static_cast<std::uint64_t>(ti.active));
+                f.u64((static_cast<std::uint64_t>(ti.numLines) << 17) ^
+                      ti.numActive ^ (ti.arithFault ? 1ull << 40 : 0));
                 const Addr *lines = wt.lines(ti);
                 for (std::uint16_t l = 0; l < ti.numLines; ++l)
-                    mix(h, lines[l]);
+                    f.u64(lines[l]);
             }
         }
     }
-    return h;
+    return f.h;
 }
 
 ArchFingerprint

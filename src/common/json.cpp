@@ -422,7 +422,8 @@ class Parser
                 Value member;
                 if (!parseValue(member))
                     return false;
-                v.members.emplace(std::move(k), std::move(member));
+                if (v.members.emplace(k, std::move(member)).second)
+                    v.keys.push_back(std::move(k));
                 if (consume(','))
                     { skipWs(); continue; }
                 if (consume('}'))

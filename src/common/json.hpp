@@ -103,6 +103,7 @@ struct Value {
     std::string str;
     std::vector<Value> items;                    ///< Kind::Array
     std::map<std::string, Value> members;        ///< Kind::Object
+    std::vector<std::string> keys; ///< Kind::Object: names in file order
 
     bool isNull() const { return kind == Kind::Null; }
     bool isNumber() const { return kind == Kind::Number; }

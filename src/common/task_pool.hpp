@@ -15,7 +15,7 @@
  *  - Indices are claimed from a shared atomic counter (work stealing),
  *    not pre-chunked, so a stalled worker can only delay the indices
  *    it already claimed.
- *  - Workers spin briefly on an epoch counter between dispatches
+ *  - Workers spin briefly on the job word between dispatches
  *    (consecutive simulated cycles arrive within microseconds) and
  *    fall back to a condition variable when idle, so an idle pool
  *    costs no CPU.
@@ -23,6 +23,9 @@
  * Completion is detected by a per-index done count, never by queue
  * emptiness, so run() returning means every fn call has finished and
  * its writes are visible to the caller (release/acquire on done_).
+ * Every claim carries its run's generation, so a worker still draining
+ * one run when the next begins can neither run an index of the new
+ * run nor add to its done count.
  * The assignment of indices to threads is scheduling-dependent; callers
  * needing determinism must make fn(i) touch index-private state only,
  * which is exactly the contract of the SM-local tick phase.
@@ -61,7 +64,7 @@ class TaskPool
         {
             std::lock_guard<std::mutex> lock(mu_);
             stop_.store(true, std::memory_order_release);
-            epoch_.fetch_add(1, std::memory_order_release);
+            job_.fetch_add(kGenOne, std::memory_order_release);
         }
         cv_.notify_all();
         for (std::thread &w : workers_)
@@ -89,17 +92,19 @@ class TaskPool
         }
         fn_ = fn;
         ctx_ = ctx;
-        n_ = n;
-        next_.store(0, std::memory_order_relaxed);
         done_.store(0, std::memory_order_relaxed);
+        const std::uint64_t gen =
+            (job_.load(std::memory_order_relaxed) & kGenMask) + kGenOne;
+        next_.store(gen, std::memory_order_relaxed);
+        const std::uint64_t job = gen | static_cast<std::uint32_t>(n);
         {
             // The lock pairs with the cv_ predicate check so a worker
-            // moving to sleep cannot miss the epoch bump.
+            // moving to sleep cannot miss the new job.
             std::lock_guard<std::mutex> lock(mu_);
-            epoch_.fetch_add(1, std::memory_order_release);
+            job_.store(job, std::memory_order_release);
         }
         cv_.notify_all();
-        drain();
+        drain(job);
         // Queue emptiness is not completion: a worker may hold a
         // claimed index. Wait for the count, yielding so an
         // oversubscribed worker can finish its claim.
@@ -108,32 +113,45 @@ class TaskPool
     }
 
   private:
+    /**
+     * Claim and run indices of @p job (generation | n) until none is
+     * left. A claim only succeeds while next_ still carries the job's
+     * generation: the run cannot finish before the claimed index does,
+     * so fn_ and ctx_ stay put while it runs.
+     */
     void
-    drain()
+    drain(std::uint64_t job)
     {
+        const std::uint64_t gen = job & kGenMask;
+        const std::uint32_t n = static_cast<std::uint32_t>(job);
+        std::uint64_t cur = next_.load(std::memory_order_relaxed);
         for (;;) {
-            int i = next_.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n_)
+            if ((cur & kGenMask) != gen ||
+                static_cast<std::uint32_t>(cur) >= n)
                 return;
-            fn_(ctx_, i);
+            if (!next_.compare_exchange_weak(cur, cur + 1,
+                                             std::memory_order_relaxed))
+                continue;
+            fn_(ctx_, static_cast<int>(static_cast<std::uint32_t>(cur)));
             done_.fetch_add(1, std::memory_order_release);
+            cur = next_.load(std::memory_order_relaxed);
         }
     }
 
     void
     workerLoop()
     {
-        std::uint64_t seen = epoch_.load(std::memory_order_acquire);
+        std::uint64_t seen = job_.load(std::memory_order_acquire);
         for (;;) {
             // A worker first scheduled only after ~TaskPool ran (tiny
             // pool lifetime on a loaded host) starts with seen already
-            // at the final epoch, so no further bump or notify is
+            // at the final job, so no further bump or notify is
             // coming: stop_ must gate the wait itself, not just the
             // post-wakeup path.
             if (stop_.load(std::memory_order_acquire))
                 return;
             int spins = 0;
-            while (epoch_.load(std::memory_order_acquire) == seen) {
+            while (job_.load(std::memory_order_acquire) == seen) {
                 if (stop_.load(std::memory_order_acquire))
                     return;
                 if (++spins < kSpinsBeforeSleep) {
@@ -142,30 +160,33 @@ class TaskPool
                     std::unique_lock<std::mutex> lock(mu_);
                     cv_.wait(lock, [&] {
                         return stop_.load(std::memory_order_relaxed) ||
-                               epoch_.load(std::memory_order_relaxed) !=
+                               job_.load(std::memory_order_relaxed) !=
                                    seen;
                     });
                     break;
                 }
             }
-            seen = epoch_.load(std::memory_order_acquire);
+            seen = job_.load(std::memory_order_acquire);
             if (stop_.load(std::memory_order_relaxed))
                 return;
-            drain();
+            drain(seen);
         }
     }
 
     static constexpr int kSpinsBeforeSleep = 1024;
+    // job_ and next_ hold a run generation in their high 32 bits; the
+    // low 32 are the index count (job_) or the next index (next_).
+    static constexpr std::uint64_t kGenOne = 1ull << 32;
+    static constexpr std::uint64_t kGenMask = ~0xffffffffull;
 
-    // Job slots: written by run() before the epoch release-store,
-    // read by workers after their acquire-load of epoch_.
+    // Job slots: written by run() before the job_ release-store, read
+    // by workers after their acquire-load of job_.
     Fn fn_ = nullptr;
     void *ctx_ = nullptr;
-    int n_ = 0;
 
-    alignas(64) std::atomic<int> next_{0};
+    alignas(64) std::atomic<std::uint64_t> next_{0};
     alignas(64) std::atomic<int> done_{0};
-    alignas(64) std::atomic<std::uint64_t> epoch_{0};
+    alignas(64) std::atomic<std::uint64_t> job_{0};
     std::atomic<bool> stop_{false};
 
     std::mutex mu_;

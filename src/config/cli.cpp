@@ -59,6 +59,17 @@ ArgParser::option(std::string flag, std::string valueName,
 }
 
 void
+ArgParser::specKey(std::string key, std::string doc,
+                   std::function<void(const json::Value &)> setter)
+{
+    Option o;
+    o.doc = std::move(doc);
+    o.jsonSetter = std::move(setter);
+    o.specKey = std::move(key);
+    options_.push_back(std::move(o));
+}
+
+void
 ArgParser::flag(std::string flag, std::string doc,
                 std::function<void()> setter)
 {
@@ -88,7 +99,7 @@ const ArgParser::Option *
 ArgParser::findOption(const std::string &flag) const
 {
     for (const Option &o : options_)
-        if (o.flag == flag)
+        if (!o.flag.empty() && o.flag == flag)
             return &o;
     return nullptr;
 }
@@ -98,7 +109,8 @@ ArgParser::unknownFlag(const std::string &flag) const
 {
     std::vector<std::string> known = {"--help", "--version"};
     for (const Option &o : options_)
-        known.push_back(o.flag);
+        if (!o.flag.empty())
+            known.push_back(o.flag);
     if (params_) {
         known.push_back("--config");
         known.push_back("--dump-knobs");
@@ -136,6 +148,10 @@ ArgParser::applySpec(const std::string &path)
         for (const Option &o : options_) {
             if (o.specKey != key)
                 continue;
+            if (o.jsonSetter) {
+                o.jsonSetter(v);
+                return true;
+            }
             std::string ctx = strprintf("%s: key '%s'", path.c_str(),
                                         key.c_str());
             auto scalarText =
@@ -204,6 +220,10 @@ ArgParser::printHelp() const
     if (!positionalName_.empty())
         line(positionalName_, positionalDoc_);
     for (const Option &o : options_) {
+        if (o.jsonSetter) {
+            line("spec key " + o.specKey, o.doc);
+            continue;
+        }
         std::string left = o.flag;
         if (!o.valueName.empty())
             left += " " + o.valueName;

@@ -196,6 +196,13 @@ class ArgParser
                 std::function<void(const std::string &)> setter,
                 const char *specKey = nullptr);
 
+    /**
+     * A spec-file-only driver key (no CLI flag) whose value reaches
+     * @p setter as parsed JSON: the grid keys axes, scales, normalize.
+     */
+    void specKey(std::string key, std::string doc,
+                 std::function<void(const json::Value &)> setter);
+
     /** A value-less driver flag (--stats, --quick, --list). */
     void flag(std::string flag, std::string doc,
               std::function<void()> setter);
@@ -233,6 +240,7 @@ class ArgParser
         std::string doc;
         std::function<void(const std::string &)> setter; ///< valued
         std::function<void()> action;                    ///< value-less
+        std::function<void(const json::Value &)> jsonSetter; ///< spec-only
         std::string specKey; ///< empty: not accepted in spec files
     };
 

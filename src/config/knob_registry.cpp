@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "common/digest.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
@@ -29,52 +29,18 @@ typeName(KnobType t)
     return "?";
 }
 
-/** FNV-1a with explicit little-endian serialization (see journal). */
-struct Fnv {
-    std::uint64_t h = 14695981039346656037ull;
-
-    void
-    bytes(const void *p, std::size_t n)
-    {
-        const unsigned char *c = static_cast<const unsigned char *>(p);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= c[i];
-            h *= 1099511628211ull;
-        }
+/** Hash a typed knob value: its type tag, then the typed payload. */
+void
+hashValue(Fnv1a &f, const KnobValue &v)
+{
+    f.u64(static_cast<std::uint64_t>(v.type));
+    switch (v.type) {
+    case KnobType::Int: f.u64(static_cast<std::uint64_t>(v.i)); break;
+    case KnobType::Real: f.d(v.r); break;
+    case KnobType::Bool: f.u64(v.b ? 1 : 0); break;
+    case KnobType::Enum: f.s(v.e); break;
     }
-    void
-    u64(std::uint64_t v)
-    {
-        unsigned char b[8];
-        for (int i = 0; i < 8; ++i)
-            b[i] = static_cast<unsigned char>(v >> (8 * i));
-        bytes(b, 8);
-    }
-    void
-    d(double v)
-    {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof bits);
-        u64(bits);
-    }
-    void
-    s(const std::string &v)
-    {
-        u64(v.size());
-        bytes(v.data(), v.size());
-    }
-    void
-    value(const KnobValue &v)
-    {
-        u64(static_cast<std::uint64_t>(v.type));
-        switch (v.type) {
-        case KnobType::Int: u64(static_cast<std::uint64_t>(v.i)); break;
-        case KnobType::Real: d(v.r); break;
-        case KnobType::Bool: u64(v.b ? 1 : 0); break;
-        case KnobType::Enum: s(v.e); break;
-        }
-    }
-};
+}
 
 std::string
 enumList(const std::vector<std::string> &values)
@@ -879,12 +845,12 @@ KnobRegistry::writeManifest(json::Writer &w, const RunParams &p) const
 std::uint64_t
 KnobRegistry::resultDigest(const RunParams &p) const
 {
-    Fnv f;
+    Fnv1a f;
     for (const Knob &k : knobs_) {
         if (k.preset || k.execOnly)
             continue;
         f.s(k.name);
-        f.value(k.get(p));
+        hashValue(f, k.get(p));
     }
     return f.h;
 }
@@ -892,7 +858,7 @@ KnobRegistry::resultDigest(const RunParams &p) const
 std::uint64_t
 KnobRegistry::registryDigest() const
 {
-    Fnv f;
+    Fnv1a f;
     for (const Knob &k : knobs_) {
         f.s(k.name);
         f.s(k.flag);
@@ -904,7 +870,7 @@ KnobRegistry::registryDigest() const
         for (const auto &e : k.enumValues)
             f.s(e);
         f.u64((k.execOnly ? 1u : 0u) | (k.preset ? 2u : 0u));
-        f.value(k.def);
+        hashValue(f, k.def);
     }
     return f.h;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/digest.hpp"
 #include "common/log.hpp"
 
 namespace gex::func {
@@ -78,23 +79,14 @@ GlobalMemory::digest() const
     for (const auto &kv : pages_)
         nums.push_back(kv.first);
     std::sort(nums.begin(), nums.end());
-    std::uint64_t h = 14695981039346656037ull;
-    auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    };
+    Fnv1a f;
     for (Addr n : nums) {
-        mix(n);
+        f.u64(n);
         const Page &p = pages_.at(n);
-        for (std::uint8_t b : p) {
-            h ^= b;
-            h *= 1099511628211ull;
-        }
+        f.bytes(p.data(), p.size());
     }
-    mix(heapUsed_);
-    return h;
+    f.u64(heapUsed_);
+    return f.h;
 }
 
 Addr

@@ -35,6 +35,7 @@
 #include "func/memory.hpp"
 #include "gpu/config.hpp"
 #include "gpu/gpu.hpp"
+#include "harness/grid.hpp"
 #include "harness/journal.hpp"
 #include "harness/sweep.hpp"
 #include "inject/fault_model.hpp"

@@ -1,10 +1,10 @@
 #include "harness/journal.hpp"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "common/digest.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
@@ -13,42 +13,6 @@
 namespace gex::harness {
 
 namespace {
-
-/**
- * FNV-1a accumulator. Every value is hashed with a length/tag prefix
- * baked into the field order below, so reordered or merged fields
- * cannot collide by concatenation.
- */
-struct Fnv {
-    std::uint64_t h = 14695981039346656037ull;
-
-    void
-    bytes(const void *p, std::size_t n)
-    {
-        const unsigned char *c = static_cast<const unsigned char *>(p);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= c[i];
-            h *= 1099511628211ull;
-        }
-    }
-    void
-    u64(std::uint64_t v)
-    {
-        // Byte-serialize explicitly (not memcpy of the in-memory
-        // representation) so the digest is endian-independent.
-        unsigned char b[8];
-        for (int i = 0; i < 8; ++i)
-            b[i] = static_cast<unsigned char>(v >> (8 * i));
-        bytes(b, 8);
-    }
-    void i(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-    void
-    s(const std::string &v)
-    {
-        u64(v.size());
-        bytes(v.data(), v.size());
-    }
-};
 
 PointStatus
 pointStatusFromName(const std::string &name, bool *ok)
@@ -111,9 +75,9 @@ specDigest(const RunSpec &spec)
     // keying. Hashing names alongside values also means a journal
     // written before a knob existed never resumes against a binary
     // that has it (the points safely re-run).
-    Fnv f;
+    Fnv1a f;
     f.s(spec.workload);
-    f.i(spec.scale);
+    f.u64(static_cast<std::uint64_t>(spec.scale));
     config::RunParams params;
     params.cfg = spec.cfg;
     params.policy = spec.policy;

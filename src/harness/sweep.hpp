@@ -220,7 +220,7 @@ seriesGeomeans(const std::vector<RunRecord> &runs,
  * in docs/METRICS.md).
  */
 struct SweepReport {
-    std::string name;        ///< bench/tool name ("fig10_schemes", ...)
+    std::string name;        ///< tool name ("gexsim_sweep", ...)
     int jobs = 1;            ///< worker threads used
     double wallSeconds = 0;  ///< sweep wall-clock time
     /**

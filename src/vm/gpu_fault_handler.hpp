@@ -23,7 +23,8 @@ struct GpuHandlerConfig {
      * Serialization between concurrent handlers on the same allocator
      * partition. The paper's prototype uses lock-free structures and
      * address-space partitioning, so the default is no serialization;
-     * nonzero values support the ablation bench.
+     * nonzero values support the UC2 ablation
+     * (experiments/ablation-uc2.json).
      */
     Cycle allocatorSerialCycles = 0;
 };

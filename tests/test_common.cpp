@@ -172,6 +172,31 @@ TEST(TaskPool, ReusableAcrossManyRounds)
     EXPECT_EQ(sum.load(), expect);
 }
 
+TEST(TaskPool, BackToBackTinyRunsRunEachIndexOnce)
+{
+    // A worker still draining one run when the next begins must not
+    // claim the new run's indices or count toward its completion:
+    // that ran indices twice or not at all, and could hang run().
+    common::TaskPool pool(4);
+    struct Ctx {
+        std::atomic<int> hits[4];
+    } ctx;
+    long wrong = 0;
+    for (int round = 0; round < 200000; ++round) {
+        const int n = 1 + round % 4;
+        for (int i = 0; i < n; ++i)
+            ctx.hits[i].store(0);
+        pool.run(n,
+                 [](void *c, int i) {
+                     static_cast<Ctx *>(c)->hits[i].fetch_add(1);
+                 },
+                 &ctx);
+        for (int i = 0; i < n; ++i)
+            wrong += ctx.hits[i].load() != 1;
+    }
+    EXPECT_EQ(wrong, 0);
+}
+
 TEST(TaskPool, SingleThreadRunsInline)
 {
     common::TaskPool pool(1);

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/digest.hpp"
 #include "gex.hpp"
 
 namespace gex {
@@ -27,20 +28,15 @@ digestStats(const gpu::SimResult &r)
 {
     // FNV-1a 64-bit over each scalar's name bytes then its raw value
     // bits, in the StatSet's sorted order. Bit-exact by construction.
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](const void *p, std::size_t n) {
-        const auto *b = static_cast<const unsigned char *>(p);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= b[i];
-            h *= 1099511628211ull;
-        }
-    };
+    // The seed is not the standard offset basis (one digit short); the
+    // pins below were taken with it, so it stays.
+    Fnv1a f{1469598103934665603ull};
     for (const auto &kv : r.stats.scalars()) {
-        mix(kv.first.data(), kv.first.size());
+        f.bytes(kv.first.data(), kv.first.size());
         double v = kv.second;
-        mix(&v, sizeof v);
+        f.bytes(&v, sizeof v);
     }
-    return h;
+    return f.h;
 }
 
 vm::VmPolicy

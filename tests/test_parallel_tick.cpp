@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/digest.hpp"
 #include "gex.hpp"
 #include "kasm/builder.hpp"
 
@@ -25,20 +26,13 @@ namespace {
 std::uint64_t
 digestStats(const gpu::SimResult &r)
 {
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](const void *p, std::size_t n) {
-        const auto *b = static_cast<const unsigned char *>(p);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= b[i];
-            h *= 1099511628211ull;
-        }
-    };
+    Fnv1a f{1469598103934665603ull};
     for (const auto &kv : r.stats.scalars()) {
-        mix(kv.first.data(), kv.first.size());
+        f.bytes(kv.first.data(), kv.first.size());
         double v = kv.second;
-        mix(&v, sizeof v);
+        f.bytes(&v, sizeof v);
     }
-    return h;
+    return f.h;
 }
 
 const int kThreadCounts[] = {1, 4, 8};

@@ -21,6 +21,7 @@
 #include "common/json.hpp"
 #include "config/cli.hpp"
 #include "config/knob_registry.hpp"
+#include "harness/grid.hpp"
 #include "harness/sweep.hpp"
 
 namespace gex {
@@ -376,6 +377,69 @@ TEST(Manifest, ReRunFromManifestIsBitIdentical)
     ra.stats.dumpCsv(sa);
     rb.stats.dumpCsv(sb);
     EXPECT_EQ(sa.str(), sb.str());
+}
+
+/** ConfigError text of expanding the grid of a gexsim-sweep line. */
+std::string
+gridError(std::vector<std::string> args)
+{
+    harness::GridSpec g;
+    config::RunParams p;
+    cli::ArgParser ap("t", "test");
+    harness::addGridOptions(ap, g);
+    ap.bindKnobs(&p);
+    args.insert(args.begin(), "t");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    try {
+        ap.parse(static_cast<int>(argv.size()), argv.data());
+        harness::expandGrid(g, p);
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+// An explicitly empty workload list used to fall back to the whole
+// parboil suite.
+TEST(GridSpec, EmptyWorkloadListIsAnError)
+{
+    std::string msg = gridError({"--workloads", ""});
+    EXPECT_NE(msg.find("--workloads names no workload"), std::string::npos)
+        << msg;
+    msg = gridError({"--config",
+                     tmpSpec("no_workloads.json", "{\"workloads\": []}")});
+    EXPECT_NE(msg.find("--workloads names no workload"), std::string::npos)
+        << msg;
+    EXPECT_NE(gridError({"--schemes", ""}).find("--schemes"),
+              std::string::npos);
+}
+
+// A repeated point used to print one row twice and make its base
+// ambiguous.
+TEST(GridSpec, DuplicateGridPointIsAnError)
+{
+    std::string msg = gridError({"--schemes", "baseline,baseline"});
+    EXPECT_NE(msg.find("--schemes"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("lists baseline twice"), std::string::npos) << msg;
+
+    msg = gridError({"--workloads", "bfs,bfs"});
+    EXPECT_NE(msg.find("--workloads lists 'bfs' twice"), std::string::npos)
+        << msg;
+
+    msg = gridError(
+        {"--workloads", "bfs", "--config",
+         tmpSpec("dup_points.json",
+                 "{\"axes\": [{\"scheme\": [\"baseline\"]},"
+                 " {\"scheme\": [\"wd-commit\", \"baseline\"]}]}")});
+    EXPECT_NE(msg.find("axes: duplicate grid point bfs (scale 1) "
+                       "scheme=baseline"),
+              std::string::npos)
+        << msg;
+    EXPECT_EQ(gridError({"--workloads", "bfs", "--schemes",
+                         "baseline,wd-commit"}),
+              "");
 }
 
 } // namespace

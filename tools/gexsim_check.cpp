@@ -22,7 +22,7 @@
 #include <fstream>
 #include <string>
 
-#include "cli.hpp"
+#include "config/cli.hpp"
 #include "gex.hpp"
 
 using namespace gex;

@@ -23,7 +23,7 @@
 #include <iostream>
 #include <string>
 
-#include "cli.hpp"
+#include "config/cli.hpp"
 #include "gex.hpp"
 
 using namespace gex;

@@ -1,125 +1,188 @@
 /**
  * @file
- * gexsim-sweep: run a (workload × scheme) grid on the parallel sweep
- * engine, print a normalized-performance table, and optionally export
- * the full result set — per-run stats included — as a BENCH_*.json
- * document (schema: docs/METRICS.md) carrying the campaign's
- * resolved_config manifest.
+ * gexsim-sweep: run an experiment grid on the parallel sweep engine,
+ * print a normalized-performance table, and optionally export the full
+ * result set — per-run stats included — as a BENCH_*.json document
+ * (schema: docs/METRICS.md) carrying the campaign's resolved_config
+ * manifest. The grid is a workload list times the axes of the spec
+ * (docs/CONFIGURATION.md, "Grids"); every paper figure is one spec
+ * under experiments/.
  *
- *   gexsim-sweep --suite parboil --jobs 4 --json BENCH_sweep.json
+ *   gexsim-sweep --config experiments/fig10.json --jobs 4
+ *   gexsim-sweep --config experiments/faultsim-quick.json --json f.json
  *   gexsim-sweep --workloads sgemm,lbm --schemes baseline,replay-queue \
  *                --policy demand-paging --link pcie
- *   gexsim-sweep --config spec.json --jobs 4
  *
  * Run with --help for the full flag list.
  */
 
-#include <cstdio>
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
-#include "cli.hpp"
+#include "config/cli.hpp"
 #include "gex.hpp"
 
 using namespace gex;
 
 namespace {
 
-struct Options {
-    std::string resumePath;
-    int retries = 1;
-    std::vector<std::string> workloads;
-    std::vector<std::string> schemes = {"baseline", "wd-commit",
-                                        "wd-lastcheck", "replay-queue",
-                                        "operand-log"};
-    std::string suite = "parboil";
-    std::string jsonPath;
-    int scale = 1;
-    int jobs = 1;
-    bool listWorkloads = false;
-};
-
-std::vector<std::string>
-resolveWorkloads(const Options &o)
+/**
+ * A run's axis values beyond its workload: its group's suffix, if
+ * any, then its series ("link=pcie,policy=heap-faults-local"). A
+ * figure's geomeans are taken per key, over the workloads.
+ */
+std::string
+geomeanKey(const std::string &suffix, const std::string &series)
 {
-    if (!o.workloads.empty()) {
-        for (const auto &w : o.workloads)
-            if (!workloads::exists(w))
-                fatal("unknown workload '%s' (try --list)", w.c_str());
-        return o.workloads;
+    return suffix.empty() ? series : suffix.substr(1) + "," + series;
+}
+
+std::string
+groupSuffix(const harness::RunRecord &r)
+{
+    return r.spec.groupLabel().substr(r.spec.workload.size());
+}
+
+std::map<std::string, double>
+geomeans(const std::vector<harness::RunRecord> &runs)
+{
+    std::map<std::string, std::vector<double>> byKey;
+    for (const harness::RunRecord &r : runs) {
+        auto it = r.derived.find("normalized");
+        if (r.ok() && it != r.derived.end() && it->second > 0.0)
+            byKey[geomeanKey(groupSuffix(r), r.spec.seriesLabel())]
+                .push_back(it->second);
     }
-    if (o.suite == "parboil")
-        return workloads::parboilSuite();
-    if (o.suite == "halloc")
-        return workloads::hallocSuite();
-    if (o.suite == "all")
-        return workloads::allNames();
-    fatal("unknown suite '%s' (expected parboil | halloc | all)",
-          o.suite.c_str());
+    std::map<std::string, double> out;
+    for (const auto &[key, xs] : byKey)
+        out[key] = geomean(xs);
+    return out;
+}
+
+/**
+ * One row per group and one column per series, both in grid order:
+ * the base series shows cycles, every other series its normalized
+ * value. A GEOMEAN row follows per group suffix.
+ */
+void
+printTable(const std::vector<harness::RunRecord> &runs,
+           const std::string &baseSeries,
+           const std::map<std::string, double> &gms)
+{
+    std::vector<std::string> groups, series, suffixes;
+    std::map<std::pair<std::string, std::string>,
+             const harness::RunRecord *>
+        cell;
+    auto addOnce = [](std::vector<std::string> &v, const std::string &s) {
+        if (std::find(v.begin(), v.end(), s) == v.end())
+            v.push_back(s);
+    };
+    std::size_t gw = 14;
+    for (const harness::RunRecord &r : runs) {
+        const std::string g = r.spec.groupLabel();
+        addOnce(groups, g);
+        addOnce(series, r.spec.seriesLabel());
+        addOnce(suffixes, groupSuffix(r));
+        cell[{g, r.spec.seriesLabel()}] = &r;
+        gw = std::max(gw, g.size());
+    }
+    auto width = [](const std::string &s) {
+        return static_cast<int>(std::max<std::size_t>(12, s.size()));
+    };
+
+    std::printf("%-*s", static_cast<int>(gw), "benchmark");
+    for (const std::string &s : series)
+        std::printf(" %*s", width(s), s.c_str());
+    std::printf("\n");
+    for (const std::string &g : groups) {
+        std::printf("%-*s", static_cast<int>(gw), g.c_str());
+        for (const std::string &s : series) {
+            auto it = cell.find({g, s});
+            const harness::RunRecord *r =
+                it == cell.end() ? nullptr : it->second;
+            if (!r)
+                std::printf(" %*s", width(s), "");
+            else if (!r->ok())
+                std::printf(" %*s", width(s),
+                            harness::pointStatusName(r->status));
+            else if (s == baseSeries)
+                std::printf(" %*llu", width(s),
+                            static_cast<unsigned long long>(
+                                r->result.cycles));
+            else if (r->derived.count("normalized"))
+                std::printf(" %*.3f", width(s),
+                            r->derived.at("normalized"));
+            else
+                std::printf(" %*s", width(s), "-");
+        }
+        std::printf("\n");
+    }
+    for (const std::string &suffix : suffixes) {
+        std::printf("%-*s", static_cast<int>(gw),
+                    ("GEOMEAN" + suffix).c_str());
+        for (const std::string &s : series) {
+            auto it = gms.find(geomeanKey(suffix, s));
+            if (s == baseSeries || it == gms.end())
+                std::printf(" %*s", width(s), "");
+            else
+                std::printf(" %*.3f", width(s), it->second);
+        }
+        std::printf("\n");
+    }
 }
 
 int
 toolMain(int argc, char **argv)
 {
-    Options o;
+    harness::GridSpec grid;
     config::RunParams params;
+    std::string jsonPath, resumePath;
+    int jobs = 1, retries = 1;
+    bool listWorkloads = false;
 
     cli::ArgParser p("gexsim-sweep",
-                     "parallel (workload x scheme) sweep driver");
+                     "parallel experiment-grid driver");
     p.synopsis("gexsim-sweep [--config spec.json] [--suite S | "
                "--workloads A,B] [--schemes A,B] [knob flags...]");
-    p.option("--suite", "S", "parboil | halloc | all (default parboil)",
-             [&](const std::string &v) { o.suite = v; }, "suite");
-    p.option("--workloads", "A,B,C",
-             "explicit workload list (overrides --suite)",
-             [&](const std::string &v) { o.workloads = cli::splitCsv(v); },
-             "workloads");
-    p.option("--schemes", "A,B,C",
-             "schemes to sweep (default all five)",
-             [&](const std::string &v) { o.schemes = cli::splitCsv(v); },
-             "schemes");
-    p.option("--scale", "N", "workload scale factor (default 1)",
-             [&](const std::string &v) {
-                 o.scale = cli::parseIntFlag("--scale", v, 1, 1 << 20);
-             },
-             "scale");
+    harness::addGridOptions(p, grid);
     p.option("--jobs", "N",
              "worker threads (default 1; 0 = all cores)",
              [&](const std::string &v) {
-                 o.jobs = cli::parseIntFlag("--jobs", v, 0, 4096);
+                 jobs = cli::parseIntFlag("--jobs", v, 0, 4096);
              });
     p.option("--json", "FILE", "write the full result set as JSON",
-             [&](const std::string &v) { o.jsonPath = v; });
+             [&](const std::string &v) { jsonPath = v; });
     p.option("--resume", "FILE",
              "campaign journal: record every finished point there and "
              "skip points already in it (--json output is then "
              "byte-identical to an uninterrupted run at any --jobs)",
-             [&](const std::string &v) { o.resumePath = v; });
+             [&](const std::string &v) { resumePath = v; });
     p.option("--retries", "N",
              "retries for transiently failed points (default 1)",
              [&](const std::string &v) {
-                 o.retries = cli::parseIntFlag("--retries", v, 0, 100);
+                 retries = cli::parseIntFlag("--retries", v, 0, 100);
              },
              "retries");
     p.flag("--list", "list built-in workloads",
-           [&] { o.listWorkloads = true; });
+           [&] { listWorkloads = true; });
     p.bindKnobs(&params);
     p.parse(argc, argv);
 
-    if (o.listWorkloads) {
+    if (listWorkloads) {
         for (const auto &n : workloads::allNames())
             std::printf("%s\n", n.c_str());
         return 0;
     }
 
-    std::vector<std::string> names = resolveWorkloads(o);
-    if (o.schemes.empty())
-        fatal("--schemes resolved to an empty list");
+    harness::Grid g = harness::expandGrid(grid, params);
 
-    harness::SweepEngine eng(o.jobs);
-    eng.setMaxRetries(o.retries);
-    harness::CampaignJournal journal(o.resumePath);
+    harness::SweepEngine eng(jobs);
+    eng.setMaxRetries(retries);
+    harness::CampaignJournal journal(resumePath);
     if (journal.active()) {
         std::size_t loaded = journal.load();
         if (loaded)
@@ -127,66 +190,25 @@ toolMain(int argc, char **argv)
                         journal.path().c_str());
         eng.setJournal(&journal);
     }
-    for (const auto &w : names) {
-        for (const auto &s : o.schemes) {
-            harness::RunSpec rs;
-            rs.workload = w;
-            rs.scale = o.scale;
-            rs.cfg = params.cfg;
-            rs.cfg.scheme = gpu::schemeFromName(s);
-            rs.policy = params.policy;
-            eng.add(std::move(rs));
-        }
-    }
+    for (harness::RunSpec &rs : g.points)
+        eng.add(std::move(rs));
 
-    std::printf("sweep: %zu workloads x %zu schemes = %zu runs, "
-                "%d jobs, policy %s\n",
-                names.size(), o.schemes.size(), eng.size(), eng.jobs(),
-                vm::policyName(params.policy));
+    std::printf("sweep: %zu runs, %d jobs, normalized to %s\n",
+                eng.size(), eng.jobs(), g.baseSeries.c_str());
 
     auto t0 = std::chrono::steady_clock::now();
     std::vector<harness::RunRecord> runs = eng.run();
     auto t1 = std::chrono::steady_clock::now();
     double wall = std::chrono::duration<double>(t1 - t0).count();
 
-    // Normalize to the first listed scheme (column 1 of the table).
-    const std::string baseSeries = o.schemes.front();
-    harness::normalizeToSeries(runs, baseSeries);
+    harness::normalizeToSeries(runs, g.baseSeries);
+    std::map<std::string, double> gms = geomeans(runs);
+    printTable(runs, g.baseSeries, gms);
 
-    std::printf("%-14s %12s", "benchmark", "base-cycles");
-    for (const auto &s : o.schemes)
-        if (s != baseSeries)
-            std::printf(" %12s", s.c_str());
-    std::printf("\n");
     std::size_t dropped = 0;
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const auto &r = runs[i];
-        if (!r.ok()) {
-            ++dropped;
-            if (r.spec.seriesLabel() == baseSeries)
-                std::printf("%-14s %12s", r.spec.workload.c_str(),
-                            harness::pointStatusName(r.status));
-            else
-                std::printf(" %12s",
-                            harness::pointStatusName(r.status));
-        } else if (r.spec.seriesLabel() == baseSeries) {
-            std::printf("%-14s %12llu", r.spec.workload.c_str(),
-                        static_cast<unsigned long long>(r.result.cycles));
-        } else {
-            std::printf(" %12.3f", r.derived.count("normalized")
-                                       ? r.derived.at("normalized")
-                                       : 0.0);
-        }
-        if ((i + 1) % o.schemes.size() == 0)
-            std::printf("\n");
-    }
-
-    std::map<std::string, double> gms = harness::seriesGeomeans(runs);
-    std::printf("%-14s %12s", "GEOMEAN", "");
-    for (const auto &s : o.schemes)
-        if (s != baseSeries)
-            std::printf(" %12.3f", gms.count(s) ? gms.at(s) : 0.0);
-    std::printf("\nwall time: %.2fs (%d jobs, %zu traces)\n", wall,
+    for (const harness::RunRecord &r : runs)
+        dropped += r.ok() ? 0 : 1;
+    std::printf("wall time: %.2fs (%d jobs, %zu traces)\n", wall,
                 eng.jobs(), eng.traces().size());
     if (dropped)
         std::printf("note: %zu of %zu points did not complete and are "
@@ -194,7 +216,7 @@ toolMain(int argc, char **argv)
                     "(per-point status/error in the JSON export)\n",
                     dropped, runs.size());
 
-    if (!o.jsonPath.empty()) {
+    if (!jsonPath.empty()) {
         harness::SweepReport rep;
         rep.name = "gexsim_sweep";
         rep.jobs = eng.jobs();
@@ -203,8 +225,8 @@ toolMain(int argc, char **argv)
         rep.baseConfig = params;
         rep.runs = std::move(runs);
         rep.geomeans = std::move(gms);
-        rep.saveJson(o.jsonPath);
-        std::printf("wrote %s\n", o.jsonPath.c_str());
+        rep.saveJson(jsonPath);
+        std::printf("wrote %s\n", jsonPath.c_str());
     }
     return 0;
 }
