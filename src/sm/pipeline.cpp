@@ -20,8 +20,9 @@ PipelineState::PipelineState(int id, const gpu::GpuConfig &config,
 {
     sb.init(cfg.sm.maxWarps);
     warps.resize(static_cast<size_t>(cfg.sm.maxWarps));
-    fetchBlocked.assign(static_cast<size_t>(cfg.sm.maxWarps), 0);
-    issueStalled.assign(static_cast<size_t>(cfg.sm.maxWarps), 0);
+    unschedulable.resize(cfg.sm.maxWarps);
+    fetchBlocked.resize(cfg.sm.maxWarps);
+    issueStalled.resize(cfg.sm.maxWarps);
     replaysPerWarp.assign(static_cast<size_t>(cfg.sm.maxWarps), 0);
     // Pre-size the event heap from the config-derived in-flight bound:
     // each in-flight instruction carries at most three live events
@@ -40,17 +41,24 @@ PipelineState::PipelineState(int id, const gpu::GpuConfig &config,
 void
 PipelineState::revertIbuf(WarpRt &w)
 {
-    if (w.ibuf.empty())
-        return;
+    bool rewound = false;
     for (std::size_t i = 0; i < w.ibuf.size(); ++i) {
-        const trace::TraceInst &ti = w.tr->insts[w.ibuf[i].idx];
+        const InstBufEntry &e = w.ibuf[i];
+        const trace::TraceInst &ti = w.tr->insts[e.idx];
         const isa::Instruction &si = decodeInst(*this, ti);
         if (si.isControl()) {
             GEX_ASSERT(w.controlPending > 0);
             --w.controlPending;
         }
+        // A replayed entry lies behind fetchIdx: rewinding fetchIdx to
+        // it would fetch again everything issued since.
+        if (e.replayed) {
+            insertReplay(w, e.idx);
+        } else if (!rewound) {
+            w.fetchIdx = e.idx;
+            rewound = true;
+        }
     }
-    w.fetchIdx = w.ibuf.front().idx;
     w.ibuf.clear();
 }
 

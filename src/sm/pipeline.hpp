@@ -21,6 +21,7 @@
 #include <queue>
 #include <vector>
 
+#include "common/bitmask.hpp"
 #include "common/log.hpp"
 #include "common/ring.hpp"
 #include "func/kernel.hpp"
@@ -90,13 +91,14 @@ struct Inflight {
 struct InstBufEntry {
     std::uint32_t idx;
     Cycle readyAt;
+    bool replayed; ///< fetched from the replay queue, not at fetchIdx
 };
 
 struct WarpRt {
     // The fields below are everything the fetch/issue scans touch
-    // for a warp that cannot make progress this cycle; they are
-    // kept together (ahead of the rings) so a failing scan reads
-    // one cache line per warp.
+    // for a warp the readiness masks do not already rule out; they
+    // are kept together (ahead of the rings) so a failing check
+    // reads one cache line per warp.
     int slot = -1;
     int controlPending = 0;
     bool wdFetchDisable = false;
@@ -120,9 +122,9 @@ struct WarpRt {
     std::uint64_t sbStallGen = 0;
     /** Cycle the current wd fetch barrier engaged (resilience stats). */
     Cycle wdDisabledSince = 0;
-    // Inline ring buffers: the fetch/issue stages scan every warp
-    // every cycle, so the common-case queue state lives inside the
-    // WarpRt itself (no per-entry heap nodes to chase).
+    // Inline ring buffers: the fetch/issue stages read them on every
+    // visit, so the common-case queue state lives inside the WarpRt
+    // itself (no per-entry heap nodes to chase).
     Ring<InstBufEntry, 4> ibuf;
     Ring<std::uint32_t, 4> replayQ;
     int inflight = 0;
@@ -217,30 +219,36 @@ struct PipelineState {
      */
     int activeWarps = 0;
     std::vector<WarpRt> warps;
+
+    // Readiness masks, one bit per warp slot. A set bit records what a
+    // scan found out about the warp; it stays valid until an event
+    // mutates the warp, and every such event calls wakeWarp, which
+    // clears all three. The scans walk only the warps clear in the
+    // masks that gate them (MaskWalk), so a set bit costs nothing.
+
     /**
-     * Fetch gate cache, one byte per warp: 1 means the last fetch scan
-     * found the warp blocked for a *state* reason (buffer full, pending
-     * control, fetch-disable, trace drained, unschedulable) — nothing
-     * time-based. Until some event mutates the warp (wakeWarp), a
-     * rescan would reproduce the same result, so the fetch stage skips
-     * the warp after one byte read instead of touching its WarpRt.
-     * Warps blocked only on fetchResumeAt are never marked (time
-     * unblocks them without an accompanying state change). Skipped
-     * scans have no side effects (no counters, no didWork), so this is
-     * invisible to simulation results.
+     * A scan found the warp !schedulable() (no block, finished, at a
+     * barrier, fault-blocked, or frozen for a context switch). Every
+     * transition back to schedulable calls wakeWarp. Fetch and issue
+     * both skip these warps: visiting one has no effect.
      */
-    std::vector<std::uint8_t> fetchBlocked;
+    Bitmask unschedulable;
     /**
-     * Issue gate cache, one byte per warp: 1 means the warp is
-     * schedulable, its ibuf head has passed its ready cycle, and that
-     * head already failed the scoreboard checks with no scoreboard
-     * change since. A rescan would fail the same way with exactly one
-     * stallScoreboard increment, so the issue scan performs just that
-     * increment off one byte read. Any event that could change the
-     * warp's schedulability, ibuf head, or scoreboard state clears the
-     * byte (wakeWarp) and the next scan re-runs the full checks.
+     * The last fetch scan found the warp blocked for a *state* reason
+     * (buffer full, pending control, fetch-disable, trace drained) —
+     * nothing time-based: a warp waiting only on fetchResumeAt stays
+     * clear, since time unblocks it without a state change. A failed
+     * fetch has no side effects, so skipping it is invisible.
      */
-    std::vector<std::uint8_t> issueStalled;
+    Bitmask fetchBlocked;
+    /**
+     * The warp is schedulable, its ibuf head has passed its ready
+     * cycle, and that head already failed the scoreboard checks with
+     * no scoreboard change since. A rescan would fail the same way
+     * with exactly one stallScoreboard increment, so the issue scan
+     * walks past the warp and adds the stalls it passed by popcount.
+     */
+    Bitmask issueStalled;
 
     std::vector<TbSlot> slots;
     std::vector<OffchipBlock> offchip;
@@ -347,11 +355,29 @@ struct PipelineState {
 
     // --- hot-path helpers (inline: see file comment) -------------------
 
+    /**
+     * A scan's visit order over the live warps, given the stage's last
+     * pick. LRR starts just past it and wraps. GTO retries it, then
+     * goes oldest (lowest slot) first — over min(n, maxWarps-1) warps,
+     * the bound the full-width GTO scan has always had.
+     */
+    MaskWalk
+    scanOrder(int last) const
+    {
+        const int n = activeWarps;
+        if (cfg.sm.schedPolicy == gpu::SchedPolicy::GreedyThenOldest)
+            return MaskWalk(last, 0,
+                            std::min(n, static_cast<int>(warps.size()) - 1));
+        const int start = std::min(last, n - 1) + 1;
+        return MaskWalk(-1, start == n ? 0 : start, n);
+    }
+
     void
     wakeWarp(int w)
     {
-        fetchBlocked[static_cast<std::size_t>(w)] = 0;
-        issueStalled[static_cast<std::size_t>(w)] = 0;
+        unschedulable.reset(w);
+        fetchBlocked.reset(w);
+        issueStalled.reset(w);
     }
 
     std::uint32_t
@@ -427,9 +453,11 @@ struct PipelineState {
     }
 
     /**
-     * Un-fetch a warp's decoded-instruction buffer: rewind fetchIdx to
-     * the buffer head and drop the control-pending counts the buffered
-     * instructions contributed (squash and drain paths).
+     * Un-fetch a warp's decoded-instruction buffer (squash and drain
+     * paths): entries fetched from the replay queue go back into it,
+     * fetchIdx rewinds to the oldest entry fetched at fetchIdx, and
+     * the control-pending counts the buffered instructions contributed
+     * are dropped.
      */
     void revertIbuf(WarpRt &w);
 

@@ -27,8 +27,9 @@ Sm::beginKernel(const LaunchInfo &li)
     st_.slots.assign(static_cast<size_t>(li.blocksPerSm), TbSlot{});
     for (auto &w : st_.warps)
         w = WarpRt{};
-    std::fill(st_.fetchBlocked.begin(), st_.fetchBlocked.end(), 0);
-    std::fill(st_.issueStalled.begin(), st_.issueStalled.end(), 0);
+    st_.unschedulable.clear();
+    st_.fetchBlocked.clear();
+    st_.issueStalled.clear();
     st_.offchip.clear();
     st_.extraBlocksBrought = 0;
     st_.slotRetryAt = kNoCycle;

@@ -1,7 +1,5 @@
 #include "sm/stages/fetch.hpp"
 
-#include <algorithm>
-
 #include "sm/stages/decode.hpp"
 
 namespace gex::sm {
@@ -9,41 +7,15 @@ namespace gex::sm {
 void
 FetchStage::tick(Cycle now)
 {
-    // Only the warps the kernel populated are scanned — slots past
-    // activeWarps can never fetch, and skipping them keeps the visit
-    // order of the live warps identical.
-    const int n = st_.activeWarps;
-    const bool greedy =
-        st_.cfg.sm.schedPolicy == gpu::SchedPolicy::GreedyThenOldest;
-    // GTO's oldest-first scan at full width visited indices
-    // 0..maxWarps-2 after the sticky warp; mirror that bound.
-    const int scan =
-        greedy ? std::min(n, static_cast<int>(st_.warps.size()) - 1) + 1
-               : n;
-    // LRR successor of the last fetching warp, tracked incrementally —
-    // a divide per scanned warp is measurable at this call rate.
-    int lrr = std::min(st_.rrFetch, n - 1) + 1;
-    if (lrr == n)
-        lrr = 0;
-    for (int lines = 0, i = 0;
-         i < scan && lines < st_.cfg.sm.fetchPerCycle; ++i) {
-        // LRR rotates the start; GTO retries the last warp, then
-        // scans from the oldest (lowest slot).
-        int w;
-        if (greedy) {
-            w = i == 0 ? st_.rrFetch : i - 1;
-            if (i > 0 && w == st_.rrFetch)
-                continue;
-        } else {
-            w = lrr;
-            if (++lrr == n)
-                lrr = 0;
-        }
-        if (st_.fetchBlocked[static_cast<size_t>(w)])
-            continue; // still blocked on unchanged state — see fetchBlocked
+    // Walk only the warps not already known to be blocked; a set bit
+    // in either mask means a fetch attempt would fail with no effect.
+    MaskWalk walk = st_.scanOrder(st_.rrFetch);
+    for (int lines = 0, w; lines < st_.cfg.sm.fetchPerCycle &&
+                           (w = walk.next(st_.unschedulable,
+                                          st_.fetchBlocked)) >= 0;) {
         WarpRt &wr = st_.warps[static_cast<size_t>(w)];
         if (!wr.schedulable()) {
-            st_.fetchBlocked[static_cast<size_t>(w)] = 1;
+            st_.unschedulable.set(w);
             continue;
         }
 
@@ -81,7 +53,8 @@ FetchStage::tick(Cycle now)
                 st_.emitFetch(now, obs::PipeEventKind::FetchDisabled, w,
                               idx, ti.staticIdx);
             }
-            wr.ibuf.push_back(InstBufEntry{idx, decodeReady(now)});
+            wr.ibuf.push_back(
+                InstBufEntry{idx, decodeReady(now), from_replay});
             st_.emitFetch(now, obs::PipeEventKind::Fetched, w, idx,
                           ti.staticIdx, from_replay ? 1 : 0);
             ++st_.fetches;
@@ -92,16 +65,16 @@ FetchStage::tick(Cycle now)
             ++lines;
             st_.rrFetch = w;
         } else {
-            // Mark state-blocked warps so later scans skip them after
-            // one byte read; a wait on fetchResumeAt is the only purely
-            // time-based reason and must keep the warp scannable.
+            // Mark state-blocked warps so later scans walk past them; a
+            // wait on fetchResumeAt is the only purely time-based reason
+            // and must keep the warp scannable.
             const bool time_blocked =
                 static_cast<int>(wr.ibuf.size()) <
                     st_.cfg.sm.instBufferDepth &&
                 wr.controlPending == 0 && !wr.wdFetchDisable &&
                 now < wr.fetchResumeAt;
             if (!time_blocked)
-                st_.fetchBlocked[static_cast<size_t>(w)] = 1;
+                st_.fetchBlocked.set(w);
         }
     }
 }

@@ -20,51 +20,37 @@ IssueStage::tick(Cycle now)
     if (st_.san && now > 0 &&
         check::take(st_.san->hooks.corruptEventSeq))
         st_.scheduleEvent(0, EvKind::WarpResume, 0, UINT32_MAX);
-    // Same live-warp scan bound (and divide-free rotation) as fetch.
-    const int n = st_.activeWarps;
-    const bool greedy =
-        st_.cfg.sm.schedPolicy == gpu::SchedPolicy::GreedyThenOldest;
-    const int scan =
-        greedy ? std::min(n, static_cast<int>(st_.warps.size()) - 1) + 1
-               : n;
-    int lrr = std::min(st_.rrIssue, n - 1) + 1;
-    if (lrr == n)
-        lrr = 0;
+    // Walk the warps that are neither unschedulable nor stalled on an
+    // unchanged scoreboard, in the same order as fetch. Each stalled
+    // warp walked past costs exactly the one stallScoreboard increment
+    // its full re-check would have: the walk tallies the stalled bits
+    // of the warps it passes, up to where the scan stops.
+    MaskWalk walk = st_.scanOrder(st_.rrIssue);
     int total = 0;
     int warps_used = 0;
     int last_issued = st_.rrIssue;
-    for (int i = 0;
-         i < scan && total < st_.cfg.sm.issueWidth && warps_used < 2;
-         ++i) {
-        int w;
-        if (greedy) {
-            w = i == 0 ? st_.rrIssue : i - 1;
-            if (i > 0 && w == st_.rrIssue)
-                continue;
-        } else {
-            w = lrr;
-            if (++lrr == n)
-                lrr = 0;
-        }
-        // Byte-gate: a warp whose head is known-stalled on an
-        // untouched scoreboard re-registers the stall (exactly one
-        // increment, as a full rescan would) off one byte read.
-        if (st_.issueStalled[static_cast<size_t>(w)]) {
-            ++st_.stallScoreboard;
+    for (int w; total < st_.cfg.sm.issueWidth && warps_used < 2 &&
+                (w = walk.next(st_.unschedulable, st_.issueStalled,
+                               &st_.issueStalled)) >= 0;) {
+        WarpRt &wr = st_.warps[static_cast<size_t>(w)];
+        if (!wr.schedulable()) {
+            st_.unschedulable.set(w);
             continue;
         }
         // Cheap per-warp gates run inline; the full decode + check in
         // tryIssueHead only runs for warps that might actually issue.
         int k = 0;
-        WarpRt &wr = st_.warps[static_cast<size_t>(w)];
         while (k < st_.cfg.sm.maxIssuePerWarp &&
                total < st_.cfg.sm.issueWidth) {
-            if (!wr.schedulable() || wr.ibuf.empty() ||
-                wr.ibuf.front().readyAt > now)
+            if (wr.ibuf.empty() || wr.ibuf.front().readyAt > now)
                 break;
+            // Stall memo: this head already failed the scoreboard
+            // checks and no scoreboard entry of this warp changed
+            // since, so the checks would fail again — register the
+            // stall without re-decoding.
             if (wr.ibuf.front().idx == wr.sbStallIdx &&
                 st_.sb.gen(w) == wr.sbStallGen) {
-                st_.issueStalled[static_cast<size_t>(w)] = 1;
+                st_.issueStalled.set(w);
                 ++st_.stallScoreboard;
                 break;
             }
@@ -78,6 +64,7 @@ IssueStage::tick(Cycle now)
             last_issued = w;
         }
     }
+    st_.stallScoreboard += walk.tallied();
     if (total > 0)
         st_.rrIssue = last_issued;
 }
@@ -85,19 +72,10 @@ IssueStage::tick(Cycle now)
 bool
 IssueStage::tryIssueHead(int w, Cycle now)
 {
+    // The caller checked schedulability, a ready head and the stall
+    // memo.
     WarpRt &wr = st_.warps[static_cast<size_t>(w)];
-    if (!wr.schedulable() || wr.ibuf.empty() ||
-        wr.ibuf.front().readyAt > now)
-        return false;
-
     const std::uint32_t idx = wr.ibuf.front().idx;
-    // Stall memo: this head already failed the scoreboard checks and
-    // no scoreboard entry of this warp changed since, so the same
-    // checks would fail again — register the stall without re-decoding.
-    if (idx == wr.sbStallIdx && st_.sb.gen(w) == wr.sbStallGen) {
-        ++st_.stallScoreboard;
-        return false;
-    }
     const trace::TraceInst &ti = wr.tr->insts[idx];
     const Instruction &si = decodeInst(st_, ti);
     const auto &t = si.traits();
@@ -108,7 +86,7 @@ IssueStage::tryIssueHead(int w, Cycle now)
     if (!operandsReady(st_.sb, w, si)) {
         wr.sbStallIdx = idx;
         wr.sbStallGen = st_.sb.gen(w);
-        st_.issueStalled[static_cast<size_t>(w)] = 1;
+        st_.issueStalled.set(w);
         ++st_.stallScoreboard;
         return false;
     }

@@ -3,8 +3,9 @@
  * Self-checking simulation tests (docs/VALIDATION.md): the
  * InvariantError taxonomy entry and its exit code, every seeded
  * violation hook tripping its checker, the --check on/off bit-identity
- * contract, the architectural oracle, and a small seeded differential
- * fuzz campaign with shrink + repro-spec round-trip.
+ * contract, checked regression points, the architectural oracle, and a
+ * small seeded differential fuzz campaign with shrink + repro-spec
+ * round-trip.
  */
 
 #include <gtest/gtest.h>
@@ -169,6 +170,38 @@ TEST(CheckInvariance, CheckOnLeavesEverySchemeBitIdentical)
         EXPECT_EQ(roff.stats.toJson(), ron.stats.toJson())
             << gpu::schemeName(s);
     }
+}
+
+// --- Checked regressions --------------------------------------------
+
+// A fault on a warp whose instruction buffer still held entries
+// fetched from the replay queue used to rewind fetchIdx to the oldest
+// of them — behind instructions the warp had already issued, which it
+// then fetched and executed again; the next fault on one of those
+// tripped "instruction already in replay queue". The full faultsim
+// campaign hit it at lbm x operand-log x burst (rates 0.002 and 0.01,
+// seed 1). Both points must finish clean under the sanitizer and the
+// oracle, at the pinned result.
+TEST(CheckedRegressions, ReplayedEntriesSurviveASecondFault)
+{
+    const harness::TracedWorkload &tw = cache().get("lbm");
+    check::ArchOracle oracle("lbm", 1, *tw.mem, tw.trace);
+    for (double rate : {0.002, 0.01}) {
+        SCOPED_TRACE("inject.rate " + std::to_string(rate));
+        gpu::GpuConfig cfg = gpu::GpuConfig::baseline();
+        cfg.scheme = gpu::Scheme::OperandLog;
+        cfg.checkInvariants = true;
+        vm::VmPolicy policy = vm::VmPolicy::allResident();
+        policy.inject.model = inject::ModelKind::Burst;
+        policy.inject.rate = rate;
+        gpu::Gpu g(cfg);
+        gpu::SimResult r = g.run(tw.kernel, tw.trace, policy);
+        EXPECT_NO_THROW(oracle.verifyTiming(r, cfg));
+        EXPECT_EQ(r.cycles, 294419u);
+        EXPECT_EQ(r.instructions, 116736u);
+        EXPECT_EQ(r.stats.get("inject.faults_injected"), 78.0);
+    }
+    EXPECT_NO_THROW(oracle.verifyReplay());
 }
 
 // --- Architectural oracle -------------------------------------------

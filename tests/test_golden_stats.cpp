@@ -14,11 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <sstream>
 #include <string>
 
 #include "common/digest.hpp"
 #include "gex.hpp"
+#include "gpu/context_switch.hpp"
 
 namespace gex {
 namespace {
@@ -134,6 +137,101 @@ TEST(GoldenStats, EveryPointBitIdenticalToCapturedBaseline)
             EXPECT_EQ(digestStats(r), pt.statsDigest)
                 << "a statistic changed value — the timing refactor is "
                    "no longer behavior-neutral";
+        }
+    }
+}
+
+struct GeometryPoint {
+    const char *workload;
+    const char *scheme;
+    const char *policy;
+    /** Space-separated registry knob settings, "name=value". */
+    const char *knobs;
+    std::uint64_t cycles;
+    std::uint64_t instructions;
+    std::uint64_t statsDigest;
+};
+
+// Warp-scheduler geometries the table above never reaches: GTO
+// (including its oldest-first bound of maxWarps-1 when the kernel's
+// occupancy fills every warp slot), two fetch lines and four issue
+// slots per cycle, and more than 64 resident warps per SM (readiness
+// masks two words long). Pinned on the per-warp byte-gated rotation
+// scans, before fetch and issue moved onto readiness bitmasks.
+const GeometryPoint kGeometry[] = {
+    {"bfs", "replay-queue", "demand-paging",
+     "sm.sched-policy=greedy-then-oldest", 146820ull, 50994ull,
+     0xd44a8b8bc13e0360ull},
+    {"stencil", "wd-commit", "all-resident",
+     "sm.sched-policy=greedy-then-oldest", 105527ull, 176640ull,
+     0xd4ca8e0ae1b76ec4ull},
+    {"sgemm", "operand-log", "all-resident",
+     "sm.fetch-per-cycle=2 sm.issue-width=4", 19340ull, 287232ull,
+     0xdb12444e2cd017feull},
+    {"bfs", "wd-lastcheck", "demand-paging",
+     "sm.fetch-per-cycle=2 sm.issue-width=4", 147116ull, 50994ull,
+     0x8262a6a960289c71ull},
+    {"bfs", "replay-queue", "all-resident",
+     "sms=2 sm.max-warps=100 sm.max-blocks=32 sm.register-file-kb=1024",
+     54462ull, 50994ull, 0x9f916afb5fd15109ull},
+    {"bfs", "operand-log", "demand-paging",
+     "sms=2 sm.max-warps=100 sm.max-blocks=24 sm.register-file-kb=1024 "
+     "sm.sched-policy=greedy-then-oldest",
+     173935ull, 50994ull, 0xa8a81738401176b1ull},
+    {"bfs", "replay-queue", "demand-paging",
+     "sms=2 sm.max-warps=160 sm.max-blocks=64 sm.register-file-kb=2048 "
+     "sm.fetch-per-cycle=2 sm.issue-width=4",
+     147703ull, 50994ull, 0xc8f517b58cd4d7ddull},
+};
+
+gpu::GpuConfig
+withKnobs(const char *knobs)
+{
+    config::RunParams p;
+    p.cfg = gpu::GpuConfig::baseline();
+    std::istringstream in(knobs);
+    std::string kv;
+    while (in >> kv) {
+        const std::size_t eq = kv.find('=');
+        const std::string name = kv.substr(0, eq);
+        const config::Knob *k = config::KnobRegistry::instance().find(name);
+        if (!k) {
+            ADD_FAILURE() << "unknown knob " << name;
+            continue;
+        }
+        k->set(p, k->parseText(name, kv.substr(eq + 1)));
+    }
+    return p.cfg;
+}
+
+TEST(GoldenStats, SchedulerGeometriesBitIdenticalToCapturedBaseline)
+{
+    harness::TraceCache cache;
+    for (int smThreads : {1, 4}) {
+        for (const GeometryPoint &pt : kGeometry) {
+            SCOPED_TRACE(std::string(pt.workload) + "/" + pt.scheme +
+                         "/" + pt.policy + " [" + pt.knobs +
+                         "] smThreads=" + std::to_string(smThreads));
+            const harness::TracedWorkload &tw = cache.get(pt.workload);
+            gpu::GpuConfig cfg = withKnobs(pt.knobs);
+            cfg.scheme = gpu::schemeFromName(pt.scheme);
+            cfg.smThreads = smThreads;
+            if (cfg.sm.maxWarps > 64) {
+                // The point exists to keep more than one mask word of
+                // warps resident on each SM.
+                const int blocks = std::min<int>(
+                    gpu::blocksPerSm(cfg, tw.kernel),
+                    static_cast<int>(tw.kernel.numBlocks()) / cfg.numSms);
+                EXPECT_GT(blocks *
+                              static_cast<int>(tw.kernel.warpsPerBlock()),
+                          64);
+            }
+            gpu::Gpu g(cfg);
+            gpu::SimResult r =
+                g.run(tw.kernel, tw.trace, policyByName(pt.policy));
+            EXPECT_EQ(static_cast<std::uint64_t>(r.cycles), pt.cycles);
+            EXPECT_EQ(r.instructions, pt.instructions);
+            EXPECT_EQ(digestStats(r), pt.statsDigest);
         }
     }
 }
