@@ -188,7 +188,8 @@ Gpu::run(const func::Kernel &kernel, const trace::KernelTrace &trace,
     // accesses (ascending SM). The drain order equals the access
     // order of the fully serial tick, so every smThreads setting —
     // including 1, which skips the pool entirely — produces
-    // bit-identical results.
+    // bit-identical results. Only awake SMs take part: an SM whose
+    // tick did no work sleeps until its next event (Sm::trySleep).
     const int nsm = static_cast<int>(sms_.size());
     // Also clamp to the host's core count: ticking with more threads
     // than cores is pure oversubscription — the per-cycle dispatch
@@ -201,10 +202,15 @@ Gpu::run(const func::Kernel &kernel, const trace::KernelTrace &trace,
     std::unique_ptr<common::TaskPool> pool;
     if (threads > 1)
         pool = std::make_unique<common::TaskPool>(threads);
+    // Indices of this cycle's awake SMs; never outgrows the reserve,
+    // so tctx may keep its data pointer.
+    std::vector<int> awake;
+    awake.reserve(sms_.size());
     struct TickCtx {
         std::unique_ptr<sm::Sm> *sms;
+        const int *awake;
         Cycle now;
-    } tctx{sms_.data(), 0};
+    } tctx{sms_.data(), awake.data(), 0};
 
     // Forward-progress watchdog (docs/ROBUSTNESS.md): the run loop
     // pays one predictable `now >= checkAt` branch per cycle; the
@@ -221,6 +227,7 @@ Gpu::run(const func::Kernel &kernel, const trace::KernelTrace &trace,
     Cycle wdProgressAt = 0;
 
     Cycle now = 0;
+    std::uint64_t tick = 0; // cycles ticked so far (the sleep charge)
     while (true) {
         if (now >= checkAt) {
             ErrorContext ctx;
@@ -252,27 +259,37 @@ Gpu::run(const func::Kernel &kernel, const trace::KernelTrace &trace,
             wdCheckAt = now + wdWindow;
             checkAt = std::min(wdCheckAt, budget);
         }
-        for (auto &s : sms_)
-            s->tickEvents(now);
-        if (pool) {
+        awake.clear();
+        for (int i = 0; i < nsm; ++i) {
+            if (sms_[i]->asleep(now))
+                continue;
+            sms_[i]->wake(tick);
+            awake.push_back(i);
+        }
+        for (int i : awake)
+            sms_[i]->tickEvents(now);
+        if (pool && awake.size() > 1) {
             tctx.now = now;
-            pool->run(nsm,
+            pool->run(static_cast<int>(awake.size()),
                       [](void *c, int i) {
                           TickCtx *t = static_cast<TickCtx *>(c);
-                          t->sms[i]->tickCompute(t->now);
+                          t->sms[t->awake[i]]->tickCompute(t->now);
                       },
                       &tctx);
         } else {
-            for (auto &s : sms_)
-                s->tickCompute(now);
+            for (int i : awake)
+                sms_[i]->tickCompute(now);
         }
         bool any = false;
         bool released = false;
-        for (auto &s : sms_) {
-            s->drainShared(now);
-            any |= s->didWork();
-            released |= s->slotReleased();
+        for (int i : awake) {
+            sm::Sm &s = *sms_[i];
+            s.drainShared(now);
+            any |= s.didWork();
+            released |= s.slotReleased();
+            s.trySleep(now, tick);
         }
+        ++tick;
         // Violations recorded during the parallel compute phase are
         // raised here, in the serial section of the same cycle.
         if (san_)
@@ -308,6 +325,8 @@ Gpu::run(const func::Kernel &kernel, const trace::KernelTrace &trace,
         now = std::max(now + 1, nxt);
     }
 
+    for (auto &s : sms_)
+        s->wake(tick);
     if (san_) {
         for (auto &s : sms_)
             san_->checkDrained(s->state(), now);

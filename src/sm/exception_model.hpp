@@ -154,6 +154,8 @@ class OperandLog
     std::uint32_t partitionBytes() const { return partitionBytes_; }
     std::uint32_t used(int partition) const;
     std::uint64_t allocFailures() const { return failures_; }
+    /** Count @p n failures an asleep SM skipped (see StallCounters). */
+    void addFailures(std::uint64_t n) { failures_ += n; }
 
     void collectStats(StatSet &s) const;
 

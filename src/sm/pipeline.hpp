@@ -196,6 +196,37 @@ struct StagedOp {
 };
 
 /**
+ * The counters a tick that does no work can still move: the issue
+ * scan's stall and back-pressure counts. Every other effect of such a
+ * tick is an idempotent mask or memo bit, so an idle SM's next ticks
+ * repeat it exactly until an event arrives; Sm::trySleep skips them
+ * and charges each one tick's worth of these counters in bulk. A new
+ * counter that an idle tick can move belongs here.
+ */
+struct StallCounters {
+    std::uint64_t scoreboard = 0;
+    std::uint64_t lsuQueue = 0;
+    std::uint64_t log = 0;
+    std::uint64_t logBackpressureCycles = 0;
+    std::uint64_t logAllocFailures = 0;
+
+    StallCounters
+    operator-(const StallCounters &o) const
+    {
+        return {scoreboard - o.scoreboard, lsuQueue - o.lsuQueue,
+                log - o.log, logBackpressureCycles - o.logBackpressureCycles,
+                logAllocFailures - o.logAllocFailures};
+    }
+
+    StallCounters
+    operator*(std::uint64_t n) const
+    {
+        return {scoreboard * n, lsuQueue * n, log * n,
+                logBackpressureCycles * n, logAllocFailures * n};
+    }
+};
+
+/**
  * Everything the stage modules share. Helpers that run on the
  * fetch/issue/event hot paths are defined inline here so the stage
  * split does not cost the timing loop any cross-module calls.
@@ -353,21 +384,38 @@ struct PipelineState {
             faultBlockedCycles += w.blockedUntil - from;
     }
 
+    /** The StallCounters, read from where they live. */
+    StallCounters
+    stallCounters() const
+    {
+        return {stallScoreboard, stallLsuQueue, stallLog,
+                logBackpressureCycles, log.allocFailures()};
+    }
+
+    /** Add @p c to the StallCounters where they live. */
+    void
+    addStalls(const StallCounters &c)
+    {
+        stallScoreboard += c.scoreboard;
+        stallLsuQueue += c.lsuQueue;
+        stallLog += c.log;
+        logBackpressureCycles += c.logBackpressureCycles;
+        log.addFailures(c.logAllocFailures);
+    }
+
     // --- hot-path helpers (inline: see file comment) -------------------
 
     /**
      * A scan's visit order over the live warps, given the stage's last
      * pick. LRR starts just past it and wraps. GTO retries it, then
-     * goes oldest (lowest slot) first — over min(n, maxWarps-1) warps,
-     * the bound the full-width GTO scan has always had.
+     * goes oldest (lowest slot) first over all of them.
      */
     MaskWalk
     scanOrder(int last) const
     {
         const int n = activeWarps;
         if (cfg.sm.schedPolicy == gpu::SchedPolicy::GreedyThenOldest)
-            return MaskWalk(last, 0,
-                            std::min(n, static_cast<int>(warps.size()) - 1));
+            return MaskWalk(last, 0, n);
         const int start = std::min(last, n - 1) + 1;
         return MaskWalk(-1, start == n ? 0 : start, n);
     }

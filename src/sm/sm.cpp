@@ -124,11 +124,23 @@ Sm::nextEventCycle() const
 }
 
 void
-Sm::tick(Cycle now)
+Sm::trySleep(Cycle now, std::uint64_t tick)
 {
-    tickEvents(now);
-    tickCompute(now);
-    drainShared(now);
+    const Cycle next = nextEventCycle();
+    if (st_.didWork || next <= now + 1)
+        return;
+    idleTick_ = st_.stallCounters() - tickStart_;
+    sleptAfter_ = tick;
+    wakeAt_ = next;
+}
+
+void
+Sm::wake(std::uint64_t tick)
+{
+    if (wakeAt_ == 0)
+        return;
+    st_.addStalls(idleTick_ * (tick - sleptAfter_ - 1));
+    wakeAt_ = 0;
 }
 
 void
@@ -136,6 +148,7 @@ Sm::tickEvents(Cycle now)
 {
     st_.didWork = false;
     st_.slotReleased = false;
+    tickStart_ = st_.stallCounters();
     if (st_.san)
         st_.san->onCycleStart(st_.smId, now);
     processEvents(now);

@@ -47,12 +47,7 @@ class Sm
     /** Install a thread block into a free slot (initial fill). */
     bool launchBlock(const trace::BlockTrace *bt, Cycle now);
 
-    /**
-     * Advance one cycle; sets didWork() when any state changed.
-     * Equivalent to tickEvents + tickCompute + drainShared (the serial
-     * composition of the phased engine below).
-     */
-    void tick(Cycle now);
+    /** This cycle's phases changed some state (see trySleep). */
     bool didWork() const { return st_.didWork; }
 
     // --- phased tick engine (see docs/PERFORMANCE.md) --------------------
@@ -84,6 +79,26 @@ class Sm
 
     /** Earliest future event, or kNoCycle when quiescent. */
     Cycle nextEventCycle() const;
+
+    // --- quiet-SM sleep (see docs/PERFORMANCE.md) ------------------------
+    // Nothing outside an SM reaches it except through its own event
+    // heap, and a tick that did no work left it as it was except for
+    // the StallCounters. So after such a tick the SM sleeps until its
+    // next event, and the ticks it skips are charged in bulk.
+
+    /**
+     * After drainShared: if this cycle did no work and the next event
+     * is more than a cycle away, sleep until it. @p tick numbers the
+     * cycles the driver ticks.
+     */
+    void trySleep(Cycle now, std::uint64_t tick);
+    /** The driver leaves an asleep SM out of all three phases. */
+    bool asleep(Cycle now) const { return now < wakeAt_; }
+    /**
+     * End a sleep before driver tick @p tick (no-op when awake): charge
+     * one idle tick's StallCounters for every tick slept through.
+     */
+    void wake(std::uint64_t tick);
 
     /** True while any block is resident or switched out. */
     bool busy() const;
@@ -152,6 +167,13 @@ class Sm
     Cycle drainTime(int slot) const;
 
     PipelineState st_;
+    /** StallCounters at the start of this tick (tickEvents). */
+    StallCounters tickStart_;
+    /** While asleep: what one skipped tick adds, and when it began. */
+    StallCounters idleTick_;
+    std::uint64_t sleptAfter_ = 0;
+    /** Cycle of the event that ends the sleep; 0 while awake. */
+    Cycle wakeAt_ = 0;
     MemorySystem &sys_;
     BlockSupply &supply_;
 

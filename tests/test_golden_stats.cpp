@@ -152,12 +152,12 @@ struct GeometryPoint {
     std::uint64_t statsDigest;
 };
 
-// Warp-scheduler geometries the table above never reaches: GTO
-// (including its oldest-first bound of maxWarps-1 when the kernel's
-// occupancy fills every warp slot), two fetch lines and four issue
-// slots per cycle, and more than 64 resident warps per SM (readiness
-// masks two words long). Pinned on the per-warp byte-gated rotation
-// scans, before fetch and issue moved onto readiness bitmasks.
+// Warp-scheduler geometries the table above never reaches: GTO, two
+// fetch lines and four issue slots per cycle, and more than 64
+// resident warps per SM (readiness masks two words long). Pinned on
+// the per-warp byte-gated rotation scans, before fetch and issue moved
+// onto readiness bitmasks. No point fills every warp slot under GTO;
+// GtoWithEveryWarpSlotFilledCompletes below covers that case.
 const GeometryPoint kGeometry[] = {
     {"bfs", "replay-queue", "demand-paging",
      "sm.sched-policy=greedy-then-oldest", 146820ull, 50994ull,
@@ -204,34 +204,98 @@ withKnobs(const char *knobs)
     return p.cfg;
 }
 
+/** Run @p pt at @p smThreads and check it against its pins. */
+gpu::SimResult
+expectPinned(harness::TraceCache &cache, const GeometryPoint &pt,
+             int smThreads)
+{
+    SCOPED_TRACE(std::string(pt.workload) + "/" + pt.scheme + "/" +
+                 pt.policy + " [" + pt.knobs +
+                 "] smThreads=" + std::to_string(smThreads));
+    const harness::TracedWorkload &tw = cache.get(pt.workload);
+    gpu::GpuConfig cfg = withKnobs(pt.knobs);
+    cfg.scheme = gpu::schemeFromName(pt.scheme);
+    cfg.smThreads = smThreads;
+    if (cfg.sm.maxWarps > 64) {
+        // Such a point exists to keep more than one mask word of warps
+        // resident on each SM.
+        const int blocks = std::min<int>(
+            gpu::blocksPerSm(cfg, tw.kernel),
+            static_cast<int>(tw.kernel.numBlocks()) / cfg.numSms);
+        EXPECT_GT(blocks * static_cast<int>(tw.kernel.warpsPerBlock()), 64);
+    }
+    gpu::Gpu g(cfg);
+    gpu::SimResult r = g.run(tw.kernel, tw.trace, policyByName(pt.policy));
+    EXPECT_EQ(static_cast<std::uint64_t>(r.cycles), pt.cycles);
+    EXPECT_EQ(r.instructions, pt.instructions);
+    EXPECT_EQ(digestStats(r), pt.statsDigest);
+    return r;
+}
+
 TEST(GoldenStats, SchedulerGeometriesBitIdenticalToCapturedBaseline)
 {
     harness::TraceCache cache;
+    for (int smThreads : {1, 4})
+        for (const GeometryPoint &pt : kGeometry)
+            expectPinned(cache, pt, smThreads);
+}
+
+/**
+ * Under GTO the oldest-first pass once stopped one warp short of the
+ * warp slots, so when a kernel's occupancy filled all of them the last
+ * warp never fetched and the run ended in a DeadlockError. Pinned on
+ * the fixed scan.
+ */
+TEST(GoldenStats, GtoWithEveryWarpSlotFilledCompletes)
+{
+    const GeometryPoint pt = {
+        "stencil", "operand-log", "all-resident",
+        "sms=2 sm.max-warps=100 sm.max-blocks=32 sm.register-file-kb=1024 "
+        "sm.sched-policy=greedy-then-oldest",
+        571007ull, 176640ull, 0x5871c4bba5f29317ull};
+    harness::TraceCache cache;
+    const harness::TracedWorkload &tw = cache.get(pt.workload);
+    const gpu::GpuConfig cfg = withKnobs(pt.knobs);
+    ASSERT_EQ(gpu::blocksPerSm(cfg, tw.kernel) *
+                  static_cast<int>(tw.kernel.warpsPerBlock()),
+              cfg.sm.maxWarps);
+    for (int smThreads : {1, 4})
+        expectPinned(cache, pt, smThreads);
+}
+
+struct QuietPoint {
+    GeometryPoint pt;
+    /** A counter charged in bulk while SMs sleep; must be non-zero. */
+    const char *charged;
+};
+
+// Points whose SMs spend most cycles idle while a stall counter keeps
+// counting: the counters an asleep SM is charged for in bulk (see
+// "Quiet-SM sleep" in docs/PERFORMANCE.md). histo is the sleep-heavy
+// case; a two-deep LSU queue keeps sm.stall_lsu_queue busy; an 8 KB
+// operand log with the resilience block on keeps sm.stall_log,
+// operand_log.alloc_failures and resil.log_backpressure_cycles busy.
+// Pinned on the tick loop that ticked every SM every cycle.
+const QuietPoint kQuiet[] = {
+    {{"histo", "baseline", "all-resident", "", 99054ull, 48384ull,
+      0xdc0ae95f8a1dc0d8ull},
+     "sm.stall_scoreboard"},
+    {{"bfs", "wd-lastcheck", "demand-paging", "sm.lsu-queue-depth=2",
+      150193ull, 50994ull, 0x9a9db3990cff1f68ull},
+     "sm.stall_lsu_queue"},
+    {{"lbm", "operand-log", "demand-paging",
+      "operand-log-kb=8 resilience-stats=true", 231965ull, 116736ull,
+      0xda0d1fc41eade73aull},
+     "resil.log_backpressure_cycles"},
+};
+
+TEST(GoldenStats, QuietChargeBitIdenticalToCapturedBaseline)
+{
+    harness::TraceCache cache;
     for (int smThreads : {1, 4}) {
-        for (const GeometryPoint &pt : kGeometry) {
-            SCOPED_TRACE(std::string(pt.workload) + "/" + pt.scheme +
-                         "/" + pt.policy + " [" + pt.knobs +
-                         "] smThreads=" + std::to_string(smThreads));
-            const harness::TracedWorkload &tw = cache.get(pt.workload);
-            gpu::GpuConfig cfg = withKnobs(pt.knobs);
-            cfg.scheme = gpu::schemeFromName(pt.scheme);
-            cfg.smThreads = smThreads;
-            if (cfg.sm.maxWarps > 64) {
-                // The point exists to keep more than one mask word of
-                // warps resident on each SM.
-                const int blocks = std::min<int>(
-                    gpu::blocksPerSm(cfg, tw.kernel),
-                    static_cast<int>(tw.kernel.numBlocks()) / cfg.numSms);
-                EXPECT_GT(blocks *
-                              static_cast<int>(tw.kernel.warpsPerBlock()),
-                          64);
-            }
-            gpu::Gpu g(cfg);
-            gpu::SimResult r =
-                g.run(tw.kernel, tw.trace, policyByName(pt.policy));
-            EXPECT_EQ(static_cast<std::uint64_t>(r.cycles), pt.cycles);
-            EXPECT_EQ(r.instructions, pt.instructions);
-            EXPECT_EQ(digestStats(r), pt.statsDigest);
+        for (const QuietPoint &q : kQuiet) {
+            gpu::SimResult r = expectPinned(cache, q.pt, smThreads);
+            EXPECT_GT(r.stats.get(q.charged), 0.0) << q.charged;
         }
     }
 }

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "common/digest.hpp"
@@ -35,16 +36,18 @@ digestStats(const gpu::SimResult &r)
     return f.h;
 }
 
-const int kThreadCounts[] = {1, 4, 8};
+constexpr std::initializer_list<int> kThreadCounts = {1, 4, 8};
 
 /**
- * Run the same simulation at smThreads 1/4/8 and require bit-identical
- * outcomes. Returns the smThreads=1 result for extra assertions.
+ * Run the same simulation at smThreads 1 and each of @p threads and
+ * require bit-identical outcomes. Returns the smThreads=1 result for
+ * extra assertions.
  */
 gpu::SimResult
 expectInvariant(const func::Kernel &kernel,
                 const trace::KernelTrace &trace,
-                const gpu::GpuConfig &base, const vm::VmPolicy &policy)
+                const gpu::GpuConfig &base, const vm::VmPolicy &policy,
+                std::initializer_list<int> threads = kThreadCounts)
 {
     gpu::GpuConfig cfg = base;
     cfg.smThreads = 1;
@@ -52,7 +55,7 @@ expectInvariant(const func::Kernel &kernel,
     gpu::SimResult ref = serial.run(kernel, trace, policy);
     std::uint64_t refDigest = digestStats(ref);
 
-    for (int t : kThreadCounts) {
+    for (int t : threads) {
         if (t == 1)
             continue;
         SCOPED_TRACE("smThreads=" + std::to_string(t));
@@ -70,9 +73,10 @@ expectInvariant(const func::Kernel &kernel,
 
 gpu::SimResult
 expectInvariant(const harness::TracedWorkload &tw,
-                const gpu::GpuConfig &base, const vm::VmPolicy &policy)
+                const gpu::GpuConfig &base, const vm::VmPolicy &policy,
+                std::initializer_list<int> threads = kThreadCounts)
 {
-    return expectInvariant(tw.kernel, tw.trace, base, policy);
+    return expectInvariant(tw.kernel, tw.trace, base, policy, threads);
 }
 
 /**
@@ -189,27 +193,26 @@ TEST(ParallelTick, FaultInjectionBitIdentical)
 /**
  * Observer events must arrive in the exact serial order at any thread
  * count: the per-SM buffers are flushed in ascending SM index each
- * cycle, reproducing the serial tick's emission sequence.
+ * cycle, reproducing the serial tick's emission sequence. Checks each
+ * of @p threads against smThreads 1.
  */
-TEST(ParallelTick, ObserverEventOrderIdentical)
+void
+expectEventOrderInvariant(const harness::TracedWorkload &tw,
+                          gpu::GpuConfig cfg, const vm::VmPolicy &policy,
+                          std::initializer_list<int> threads)
 {
-    harness::TraceCache cache;
-    const harness::TracedWorkload &tw = cache.get("bfs");
-    gpu::GpuConfig cfg = gpu::GpuConfig::baseline();
-    cfg.scheme = gpu::Scheme::OperandLog;
-
-    auto record = [&](int threads) {
-        cfg.smThreads = threads;
+    auto record = [&](int t) {
+        cfg.smThreads = t;
         obs::RecordingObserver rec;
         gpu::Gpu g(cfg);
         g.setObserver(&rec);
-        g.run(tw.kernel, tw.trace, vm::VmPolicy::demandPaging());
+        g.run(tw.kernel, tw.trace, policy);
         return std::move(rec.events);
     };
 
     std::vector<obs::PipeEvent> serial = record(1);
     ASSERT_FALSE(serial.empty());
-    for (int t : kThreadCounts) {
+    for (int t : threads) {
         if (t == 1)
             continue;
         SCOPED_TRACE("smThreads=" + std::to_string(t));
@@ -226,6 +229,32 @@ TEST(ParallelTick, ObserverEventOrderIdentical)
                 << static_cast<unsigned long long>(b.cycle);
         }
     }
+}
+
+TEST(ParallelTick, ObserverEventOrderIdentical)
+{
+    harness::TraceCache cache;
+    gpu::GpuConfig cfg = gpu::GpuConfig::baseline();
+    cfg.scheme = gpu::Scheme::OperandLog;
+    expectEventOrderInvariant(cache.get("bfs"), cfg,
+                              vm::VmPolicy::demandPaging(), kThreadCounts);
+}
+
+/**
+ * Quiet-SM sleep: under demand paging histo's SMs mostly wait on
+ * faults. About half of the cycles the driver ticks have at most one
+ * awake SM (the serial fallback), the rest hand only the awake SMs to
+ * the pool, and the asleep SMs' stall counters are charged in bulk.
+ */
+TEST(ParallelTick, MostlyAsleepSmsBitIdentical)
+{
+    harness::TraceCache cache;
+    const harness::TracedWorkload &tw = cache.get("histo");
+    gpu::GpuConfig cfg = gpu::GpuConfig::baseline();
+    cfg.scheme = gpu::Scheme::ReplayQueue;
+    const vm::VmPolicy policy = vm::VmPolicy::demandPaging();
+    expectInvariant(tw, cfg, policy, {1, 2, 4});
+    expectEventOrderInvariant(tw, cfg, policy, {1, 2, 4});
 }
 
 /** Thread counts beyond numSms clamp instead of misbehaving. */
