@@ -3,17 +3,15 @@
  * Scalability study (paper section 5.5): how the scheme costs and the
  * two use cases move with the number of SMs (8/16/32), now run through
  * the parallel sweep engine with JSON export, plus a wall-clock
- * section measuring the phased SM tick engine (GpuConfig::smThreads)
- * against the serial driver at 1/4/8/16 SMs. The paper's
- * observations: scheme gaps widen when occupancy drops relative to the
- * machine; more SMs means more concurrent faults, which hurts
- * CPU-handled paging and helps GPU-local handling.
+ * section timing one run at 1/4/8/16 SMs. The paper's observations:
+ * scheme gaps widen when occupancy drops relative to the machine; more
+ * SMs means more concurrent faults, which hurts CPU-handled paging and
+ * helps GPU-local handling.
  *
- *     scal_sms [--jobs N] [--sm-threads N] [--json FILE]
+ *     scal_sms [--jobs N] [--json FILE]
  *
- * --jobs parallelizes across grid points, --sm-threads sets the
- * parallel-engine thread count of the wall-clock section (simulated
- * results are bit-identical either way; only wall time moves).
+ * --jobs parallelizes across grid points (simulated results are
+ * bit-identical at any value; only wall time moves).
  */
 
 #include <chrono>
@@ -32,12 +30,11 @@ using Clock = std::chrono::steady_clock;
 const int kSchemeSms[] = {8, 16, 32};
 const int kScalingSms[] = {1, 4, 8, 16};
 
-/** One row of the serial-vs-parallel wall-clock comparison. */
+/** One row of the wall-clock-vs-SM-count table. */
 struct ScalingRow {
     int sms = 0;
     std::uint64_t cycles = 0;
-    double serialWall = 0;
-    double parallelWall = 0;
+    double wall = 0;
 };
 
 double
@@ -58,19 +55,13 @@ wallOf(const harness::TracedWorkload &tw, const gpu::GpuConfig &cfg,
 static int
 toolMain(int argc, char **argv)
 {
-    int jobs = 1, smThreads = 4;
+    int jobs = 1;
     std::string jsonPath;
     cli::ArgParser p("scal_sms",
-                     "SM-count scalability study and tick-engine wall "
-                     "clocks");
+                     "SM-count scalability study and wall clocks");
     p.option("--jobs", "N", "worker threads (default 1; 0 = all cores)",
              [&](const std::string &v) {
                  jobs = cli::parseIntFlag("--jobs", v, 0, 4096);
-             });
-    p.option("--sm-threads", "N",
-             "SM-tick threads of the wall-clock section (default 4)",
-             [&](const std::string &v) {
-                 smThreads = cli::parseIntFlag("--sm-threads", v, 1, 4096);
              });
     p.option("--json", "FILE", "write the full result set as JSON",
              [&](const std::string &v) { jsonPath = v; });
@@ -154,13 +145,12 @@ toolMain(int argc, char **argv)
                         : 0.0);
     }
 
-    // --- wall clock: serial vs phased-parallel tick engine --------------
-    std::printf("\n=== Wall clock: serial vs parallel tick engine "
-                "(lbm, baseline scheme, sm-threads=%d, %u host cpus) "
-                "===\n",
-                smThreads, std::thread::hardware_concurrency());
-    std::printf("%8s %12s %12s %12s %10s\n", "SMs", "cycles",
-                "serial s", "parallel s", "speedup");
+    // --- wall clock of one run vs SM count ------------------------------
+    std::printf("\n=== Wall clock of one run (lbm, baseline scheme, "
+                "%u host cpus) ===\n",
+                std::thread::hardware_concurrency());
+    std::printf("%8s %12s %12s %14s\n", "SMs", "cycles", "wall s",
+                "kcycles/s");
     std::vector<ScalingRow> scaling;
     const harness::TracedWorkload &lbm = eng.traces().get("lbm");
     for (int n : kScalingSms) {
@@ -168,21 +158,11 @@ toolMain(int argc, char **argv)
         cfg.numSms = n;
         ScalingRow row;
         row.sms = n;
-        row.serialWall = wallOf(lbm, cfg, row.cycles);
-        cfg.smThreads = smThreads;
-        std::uint64_t par_cycles = 0;
-        row.parallelWall = wallOf(lbm, cfg, par_cycles);
-        if (par_cycles != row.cycles)
-            fatal("parallel tick diverged at %d SMs: %llu != %llu", n,
-                  static_cast<unsigned long long>(par_cycles),
-                  static_cast<unsigned long long>(row.cycles));
+        row.wall = wallOf(lbm, cfg, row.cycles);
         scaling.push_back(row);
-        std::printf("%8d %12llu %12.3f %12.3f %10.2fx\n", n,
-                    static_cast<unsigned long long>(row.cycles),
-                    row.serialWall, row.parallelWall,
-                    row.parallelWall > 0
-                        ? row.serialWall / row.parallelWall
-                        : 0.0);
+        std::printf("%8d %12llu %12.3f %14.2f\n", n,
+                    static_cast<unsigned long long>(row.cycles), row.wall,
+                    row.wall > 0 ? row.cycles / row.wall / 1e3 : 0.0);
         std::fflush(stdout);
     }
     std::printf("\npaper section 5.5: local-handling benefit grows with "
@@ -201,7 +181,6 @@ toolMain(int argc, char **argv)
         config::KnobRegistry::instance().writeManifest(
             w, config::RunParams::baseline());
         w.key("jobs").value(eng.jobs());
-        w.key("sm_threads").value(smThreads);
         w.key("host_cpus")
             .value(static_cast<std::uint64_t>(
                 std::thread::hardware_concurrency()));
@@ -230,20 +209,16 @@ toolMain(int argc, char **argv)
         for (const auto &kv : harness::seriesGeomeans(runs))
             w.key(kv.first).value(kv.second);
         w.endObject();
-        // Serial vs phased-parallel wall time of identical
-        // simulations (cycles pinned equal above).
+        // Wall time of one run per SM count.
         w.key("scaling").beginArray();
         for (const ScalingRow &row : scaling) {
             w.beginObject();
             w.key("workload").value("lbm");
             w.key("sms").value(row.sms);
             w.key("cycles").value(row.cycles);
-            w.key("serial_wall_seconds").value(row.serialWall);
-            w.key("parallel_wall_seconds").value(row.parallelWall);
-            w.key("parallel_speedup")
-                .value(row.parallelWall > 0
-                           ? row.serialWall / row.parallelWall
-                           : 0.0);
+            w.key("wall_seconds").value(row.wall);
+            w.key("kcycles_per_sec")
+                .value(row.wall > 0 ? row.cycles / row.wall / 1e3 : 0.0);
             w.endObject();
         }
         w.endArray();

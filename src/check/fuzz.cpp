@@ -141,35 +141,13 @@ FuzzCampaign::runScheme(const FuzzCase &c, gpu::Scheme scheme,
 
     config::RunParams p = c.params;
     p.cfg.scheme = scheme;
-    int failedThreads = 1;
     try {
-        p.cfg.smThreads = 1;
-        gpu::Gpu g1(p.cfg);
-        const gpu::SimResult r1 = g1.run(tw.kernel, tw.trace, p.policy);
-        oracle.verifyTiming(r1, p.cfg);
-        if (opt_.smThreadsAlt > 1) {
-            failedThreads = opt_.smThreadsAlt;
-            p.cfg.smThreads = opt_.smThreadsAlt;
-            gpu::Gpu gn(p.cfg);
-            const gpu::SimResult rn =
-                gn.run(tw.kernel, tw.trace, p.policy);
-            if (rn.stats.toJson() != r1.stats.toJson()) {
-                ErrorContext ctx;
-                ctx.scheme = gpu::schemeName(scheme);
-                ctx.workload = c.workload;
-                throw InvariantError(
-                    strprintf("differential oracle: smThreads %d "
-                              "diverged from smThreads 1 (results must "
-                              "be bit-identical at any thread count)",
-                              opt_.smThreadsAlt),
-                    std::move(ctx));
-            }
-        }
+        gpu::Gpu g(p.cfg);
+        oracle.verifyTiming(g.run(tw.kernel, tw.trace, p.policy), p.cfg);
     } catch (const GexError &e) {
         if (fail) {
             fail->c = c;
             fail->c.params.cfg.scheme = scheme;
-            fail->c.params.cfg.smThreads = failedThreads;
             fail->kind = e.kind();
             fail->message = e.report();
         }
@@ -260,8 +238,7 @@ FuzzCampaign::reproSpecJson(const FuzzCase &c)
     w.key("scale").value(static_cast<std::uint64_t>(c.scale));
     // Non-default knobs only, in registry order; presets are skipped
     // (their component knobs already carry the exact state). Exec-only
-    // knobs (check, check.violate, sm-threads, capture-events) are
-    // included: the repro must re-arm the checkers that tripped.
+    // knobs (check, check.violate) are included: the repro must re-arm the checkers that tripped.
     for (const config::Knob &k : config::KnobRegistry::instance().knobs()) {
         if (k.preset)
             continue;

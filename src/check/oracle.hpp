@@ -11,7 +11,7 @@
  *     bit-for-bit (verifyReplay);
  *  2. the timing simulator retires exactly the traced stream: every
  *     traced instruction commits exactly once under any scheme, fault
- *     model, smThreads and UC1/UC2 setting — enforced per event by
+ *     model and UC1/UC2 setting — enforced per event by
  *     SimSanitizer's coverage bitmap, and summarized here by the
  *     committed-instruction count (verifyTiming);
  *  3. schemes are equivalent: with 1 and 2 holding for every scheme

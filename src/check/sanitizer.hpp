@@ -82,41 +82,33 @@ class SimSanitizer : public obs::PipelineObserver
 
     // --- targeted hooks (wired through PipelineState / sm::Sm) ----------
 
-    /** Serial events phase: the SM's clock advanced to @p now. */
+    /** The SM's tick begins: its clock advanced to @p now. */
     void onCycleStart(int sm, Cycle now);
-    /**
-     * An event entered the SM's heap. Runs inside the parallel
-     * compute phase, so violations are recorded per-SM and thrown
-     * from throwDeferred() in the next serial section.
-     */
+    /** An event entered the SM's heap (throws). */
     void onEventScheduled(int sm, Cycle cycle, std::uint64_t seq,
                           int kind);
-    /** An event left the SM's heap (serial phase; throws directly). */
+    /** An event left the SM's heap (throws). */
     void onEventPopped(int sm, Cycle cycle, std::uint64_t seq);
-    /** A thread block was installed into a slot (applied at drain). */
+    /** A thread block was installed into a slot. */
     void onBlockInstalled(int sm, int slot, std::uint32_t blockId,
                           int firstWarp, int numWarps);
-    /** End of the SM's drain phase: apply pending block installs. */
-    void onDrainEnd(int sm);
     /**
      * The LSU saw a faulting translation for @p page; the invariant is
-     * that no TLB level may have cached it (serial phase; throws).
+     * that no TLB level may have cached it (throws).
      */
     void onFaultedTranslation(int sm, int warp, Addr page,
                               const vm::Tlb &l1tlb, Cycle now);
-    /** Raise the first violation deferred by the parallel phase. */
-    void throwDeferred();
 
     /**
      * Drain checker over one SM's pipeline state after the run loop
      * claims completion: leaked pool entries, scoreboard holds, warp
-     * queues, operand-log bytes, staged ops, and lazily-drained
+     * queues, operand-log bytes, and lazily-drained
      * MSHR/TLB-miss entries still pending past @p now.
      */
     void checkDrained(const sm::PipelineState &st, Cycle now) const;
 
     /** End-of-run shadow checks: exactly-once trace coverage, empty
-     *  in-flight shadows, zero log bytes, no deferred violations. */
+     *  in-flight shadows, zero log bytes. */
     void finishRun(Cycle now);
 
     /** Build and throw the InvariantError for a violation. */
@@ -148,25 +140,14 @@ class SimSanitizer : public obs::PipelineObserver
         std::int64_t logBytes = 0;
     };
 
-    struct PendingInstall {
-        int slot;
-        std::uint32_t blockId;
-        int firstWarp;
-        int numWarps;
-    };
-
     struct SmShadow {
         Cycle now = 0;
         bool popped = false;
         Cycle lastPopCycle = 0;
         std::uint64_t lastPopSeq = 0;
         std::unordered_set<std::uint64_t> liveSeqs;
-        /** First violation recorded by the parallel phase ("" = none). */
-        std::string deferred;
-        Cycle deferredCycle = 0;
         std::vector<WarpShadow> warps;
         std::vector<SlotShadow> slots;
-        std::vector<PendingInstall> installs;
     };
 
     /** Exactly-once commit bitmap of one warp's trace. */

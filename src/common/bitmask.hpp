@@ -3,10 +3,10 @@
  * Bitmask: a fixed-size bit set over [0, size) in 64-bit words, and
  * MaskWalk, the warp schedulers' visit order over such masks. The SM
  * fetch and issue stages keep one Bitmask per readiness predicate
- * (fetch-blocked, issue-stalled, unschedulable) and walk only the
- * positions clear in the masks that gate them, finding each one with
- * a count-trailing-zeros per word instead of testing warp by warp —
- * the priority-encoder pick of a hardware warp scheduler.
+ * (fetch-blocked, issue-stalled, mem-ready, unschedulable) and walk
+ * only the positions clear in the masks that gate them, finding each
+ * one with a count-trailing-zeros per word instead of testing warp by
+ * warp — the priority-encoder pick of a hardware warp scheduler.
  */
 
 #ifndef GEX_COMMON_BITMASK_HPP
@@ -52,19 +52,19 @@ class Bitmask
     void reset(int i) { w_[word(i)] &= ~bit(i); }
 
     /**
-     * First position in [from, to) clear both here and in @p other
-     * (a mask of the same size), or @p to if there is none. Pass
-     * *this as @p other to search this mask alone.
+     * First position in [from, to) clear here and in @p b and @p c
+     * (masks of the same size), or @p to if there is none. Pass *this
+     * as a mask that should not gate.
      */
     int
-    nextClear(int from, int to, const Bitmask &other) const
+    nextClear(int from, int to, const Bitmask &b, const Bitmask &c) const
     {
         if (from >= to)
             return to;
         std::size_t k = word(from);
         const std::size_t last = word(to - 1);
         std::uint64_t free =
-            ~(w_[k] | other.w_[k]) & (~0ull << (from & 63));
+            ~(w_[k] | b.w_[k] | c.w_[k]) & (~0ull << (from & 63));
         while (true) {
             if (k == last)
                 free &= upTo(to);
@@ -73,8 +73,15 @@ class Bitmask
             if (k == last)
                 return to;
             ++k;
-            free = ~(w_[k] | other.w_[k]);
+            free = ~(w_[k] | b.w_[k] | c.w_[k]);
         }
+    }
+
+    /** First position in [from, to) clear here and in @p other. */
+    int
+    nextClear(int from, int to, const Bitmask &other) const
+    {
+        return nextClear(from, to, other, other);
     }
 
     /** Number of set bits in [from, to). */
@@ -118,13 +125,13 @@ class Bitmask
  * skipped. LRR is (no head, start = successor of the last pick); GTO
  * is (head = the sticky warp, start 0).
  *
- * next() yields, in that order, the positions clear in both gating
- * masks. The positions it passes over are exactly the ones a warp-by-
+ * next() yields, in that order, the positions clear in every gating
+ * mask. The positions it passes over are exactly the ones a warp-by-
  * warp scan would have visited and rejected before reaching the one
- * returned; the optional tally counts those set in a third mask,
- * reading each of them before the caller acts on the returned
+ * returned; the optional tallies each count those set in one more
+ * mask, reading each of them before the caller acts on the returned
  * position (so the caller's own updates to visited positions never
- * reach the tally).
+ * reach a tally).
  */
 class MaskWalk
 {
@@ -146,20 +153,23 @@ class MaskWalk
     }
 
     /**
-     * Next position clear in @p a and @p b, or -1 when exhausted. The
-     * passed-over positions set in @p tally (if given) are added to
-     * tallied().
+     * Next position clear in @p a, @p b and @p c, or -1 when exhausted.
+     * The passed-over positions set in @p tally0 / @p tally1 (each if
+     * given) are added to tallied(0) / tallied(1).
      */
     int
-    next(const Bitmask &a, const Bitmask &b,
-         const Bitmask *tally = nullptr)
+    next(const Bitmask &a, const Bitmask &b, const Bitmask &c,
+         const Bitmask *tally0, const Bitmask *tally1)
     {
         for (; k_ < nseg_; ++k_) {
             const int hi = seg_[k_].hi;
-            const int p = a.nextClear(pos_, hi, b);
-            if (tally)
-                tallied_ +=
-                    static_cast<std::uint64_t>(tally->count(pos_, p));
+            const int p = a.nextClear(pos_, hi, b, c);
+            if (tally0)
+                tallied_[0] +=
+                    static_cast<std::uint64_t>(tally0->count(pos_, p));
+            if (tally1)
+                tallied_[1] +=
+                    static_cast<std::uint64_t>(tally1->count(pos_, p));
             if (p < hi) {
                 pos_ = p + 1;
                 return p;
@@ -170,7 +180,15 @@ class MaskWalk
         return -1;
     }
 
-    std::uint64_t tallied() const { return tallied_; }
+    /** Next position clear in @p a and @p b, tallying into tallied(0). */
+    int
+    next(const Bitmask &a, const Bitmask &b,
+         const Bitmask *tally = nullptr)
+    {
+        return next(a, b, b, tally, nullptr);
+    }
+
+    std::uint64_t tallied(int i = 0) const { return tallied_[i]; }
 
   private:
     struct Range {
@@ -189,7 +207,7 @@ class MaskWalk
     int nseg_ = 0;
     int k_ = 0;
     int pos_ = 0;
-    std::uint64_t tallied_ = 0;
+    std::uint64_t tallied_[2] = {};
 };
 
 } // namespace gex

@@ -113,14 +113,10 @@ struct SmConfig {
 struct GpuConfig {
     int numSms = 16;
     /**
-     * Worker threads ticking the SM-local pipeline phase of one run
-     * (gpu::Gpu::run's phased tick engine). 1 (the default) keeps the
-     * fully serial driver; values above numSms or the host's core
-     * count are clamped (extra threads are pure overhead). Results
-     * are bit-identical at every setting: shared-resource accesses
-     * (L2, DRAM, MMU, TB scheduler, observer) are drained serially in
-     * ascending SM order regardless of the thread count. Composes
-     * with sweep-engine --jobs; total concurrency is jobs × smThreads.
+     * Unused: nothing in the simulator reads it. One run ticks its SMs
+     * serially; sweep-engine --jobs is the parallelism. The field
+     * stays only because the benchmark program perfbench/gexbench.cpp
+     * still assigns it; remove the two together.
      */
     int smThreads = 1;
     SmConfig sm;

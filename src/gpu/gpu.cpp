@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <sstream>
-#include <thread>
 
 #include "check/sanitizer.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
-#include "common/task_pool.hpp"
 
 namespace gex::gpu {
 
@@ -182,36 +180,6 @@ Gpu::run(const func::Kernel &kernel, const trace::KernelTrace &trace,
         }
     }
 
-    // Phased tick engine (see docs/PERFORMANCE.md): per global cycle,
-    // a serial events phase (ascending SM), a parallel SM-local
-    // compute phase, then a serial drain of staged shared-resource
-    // accesses (ascending SM). The drain order equals the access
-    // order of the fully serial tick, so every smThreads setting —
-    // including 1, which skips the pool entirely — produces
-    // bit-identical results. Only awake SMs take part: an SM whose
-    // tick did no work sleeps until its next event (Sm::trySleep).
-    const int nsm = static_cast<int>(sms_.size());
-    // Also clamp to the host's core count: ticking with more threads
-    // than cores is pure oversubscription — the per-cycle dispatch
-    // handshake degenerates into scheduler churn (pathological under
-    // a single-core CPU quota). Unobservable in any output: results
-    // are smThreads-independent by the contract above.
-    const int hw = static_cast<int>(std::thread::hardware_concurrency());
-    const int threads = std::max(
-        1, std::min({cfg_.smThreads, nsm, hw > 0 ? hw : cfg_.smThreads}));
-    std::unique_ptr<common::TaskPool> pool;
-    if (threads > 1)
-        pool = std::make_unique<common::TaskPool>(threads);
-    // Indices of this cycle's awake SMs; never outgrows the reserve,
-    // so tctx may keep its data pointer.
-    std::vector<int> awake;
-    awake.reserve(sms_.size());
-    struct TickCtx {
-        std::unique_ptr<sm::Sm> *sms;
-        const int *awake;
-        Cycle now;
-    } tctx{sms_.data(), awake.data(), 0};
-
     // Forward-progress watchdog (docs/ROBUSTNESS.md): the run loop
     // pays one predictable `now >= checkAt` branch per cycle; the
     // actual progress scan (summing commits and retired blocks across
@@ -259,41 +227,23 @@ Gpu::run(const func::Kernel &kernel, const trace::KernelTrace &trace,
             wdCheckAt = now + wdWindow;
             checkAt = std::min(wdCheckAt, budget);
         }
-        awake.clear();
-        for (int i = 0; i < nsm; ++i) {
-            if (sms_[i]->asleep(now))
-                continue;
-            sms_[i]->wake(tick);
-            awake.push_back(i);
-        }
-        for (int i : awake)
-            sms_[i]->tickEvents(now);
-        if (pool && awake.size() > 1) {
-            tctx.now = now;
-            pool->run(static_cast<int>(awake.size()),
-                      [](void *c, int i) {
-                          TickCtx *t = static_cast<TickCtx *>(c);
-                          t->sms[t->awake[i]]->tickCompute(t->now);
-                      },
-                      &tctx);
-        } else {
-            for (int i : awake)
-                sms_[i]->tickCompute(now);
-        }
+        // One serial tick per awake SM, in ascending SM order (see
+        // docs/PERFORMANCE.md). An SM whose tick did no work sleeps
+        // until its next event (Sm::trySleep) and is not ticked
+        // meanwhile.
         bool any = false;
         bool released = false;
-        for (int i : awake) {
-            sm::Sm &s = *sms_[i];
-            s.drainShared(now);
+        for (auto &sp : sms_) {
+            sm::Sm &s = *sp;
+            if (s.asleep(now))
+                continue;
+            s.wake(tick);
+            s.tick(now);
             any |= s.didWork();
             released |= s.slotReleased();
             s.trySleep(now, tick);
         }
         ++tick;
-        // Violations recorded during the parallel compute phase are
-        // raised here, in the serial section of the same cycle.
-        if (san_)
-            san_->throwDeferred();
         // allDone() scans every SM; it can only flip true in a cycle
         // that emptied a TB slot (or when the machine was idle to
         // begin with), so the scan is gated on those cases instead of

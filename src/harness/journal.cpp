@@ -67,8 +67,8 @@ specDigest(const RunSpec &spec)
     // outcome of a point, including the watchdog/budget knobs that
     // decide how a non-terminating point is classified) hashed as
     // (name, typed value) in registry order. Execution-only knobs
-    // (GpuConfig::smThreads, and the engine's --jobs) are excluded by
-    // the registry — pure parallelism with bit-identical results — as
+    // (--check and the other execOnly registrations) and the engine's
+    // --jobs are excluded — they never change results — as
     // are the group/series labels, which are naming only (and already
     // part of the point key). A new knob registration automatically
     // lands here; it can never silently be excluded from resume

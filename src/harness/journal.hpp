@@ -10,8 +10,8 @@
  * the key names the grid coordinates a human recognizes, the digest
  * fingerprints every result-affecting configuration field, so a
  * journal written under different knobs — or by an older grid — can
- * never satisfy a lookup it shouldn't. Execution-only knobs (--jobs,
- * --sm-threads) are deliberately excluded from the digest: they do not
+ * never satisfy a lookup it shouldn't. Execution-only settings (--jobs,
+ * --check) are deliberately excluded from the digest: they do not
  * change results, and a campaign may be resumed at any parallelism.
  */
 

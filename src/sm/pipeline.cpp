@@ -23,6 +23,7 @@ PipelineState::PipelineState(int id, const gpu::GpuConfig &config,
     unschedulable.resize(cfg.sm.maxWarps);
     fetchBlocked.resize(cfg.sm.maxWarps);
     issueStalled.resize(cfg.sm.maxWarps);
+    memReady.resize(cfg.sm.maxWarps);
     replaysPerWarp.assign(static_cast<size_t>(cfg.sm.maxWarps), 0);
     // Pre-size the event heap from the config-derived in-flight bound:
     // each in-flight instruction carries at most three live events
@@ -82,7 +83,7 @@ PipelineState::emitWarpSlow(Cycle now, obs::PipeEventKind k, int w,
     e.warp = w;
     e.kind = k;
     e.arg = arg;
-    obsBuf.push_back(e);
+    obs->event(e);
 }
 
 void
@@ -99,7 +100,7 @@ PipelineState::emitInstSlow(Cycle now, obs::PipeEventKind k,
     e.traceIdx = in.traceIdx;
     e.staticIdx = in.ti ? in.ti->staticIdx : obs::PipeEvent::kNoIndex;
     e.arg = arg;
-    obsBuf.push_back(e);
+    obs->event(e);
 }
 
 void
@@ -116,7 +117,7 @@ PipelineState::emitFetchSlow(Cycle now, obs::PipeEventKind k, int w,
     e.traceIdx = trace_idx;
     e.staticIdx = static_idx;
     e.arg = arg;
-    obsBuf.push_back(e);
+    obs->event(e);
 }
 
 void
@@ -129,7 +130,7 @@ PipelineState::emitBlockSlow(Cycle now, obs::PipeEventKind k, int slot,
     e.slot = static_cast<std::int16_t>(slot);
     e.kind = k;
     e.arg = block_id;
-    obsBuf.push_back(e);
+    obs->event(e);
 }
 
 } // namespace gex::sm

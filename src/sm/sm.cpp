@@ -30,6 +30,7 @@ Sm::beginKernel(const LaunchInfo &li)
     st_.unschedulable.clear();
     st_.fetchBlocked.clear();
     st_.issueStalled.clear();
+    st_.memReady.clear();
     st_.offchip.clear();
     st_.extraBlocksBrought = 0;
     st_.slotRetryAt = kNoCycle;
@@ -144,7 +145,7 @@ Sm::wake(std::uint64_t tick)
 }
 
 void
-Sm::tickEvents(Cycle now)
+Sm::tick(Cycle now)
 {
     st_.didWork = false;
     st_.slotReleased = false;
@@ -152,63 +153,8 @@ Sm::tickEvents(Cycle now)
     if (st_.san)
         st_.san->onCycleStart(st_.smId, now);
     processEvents(now);
-}
-
-void
-Sm::tickCompute(Cycle now)
-{
     fetch_.tick(now);
     issue_.tick(now);
-}
-
-void
-Sm::drainShared(Cycle now)
-{
-    for (const StagedOp &op : st_.staged) {
-        if (op.kind == StagedOp::Kind::Bulk) {
-            Cycle done =
-                sys_.bulkDramTraffic(now, st_.li.contextBytesPerBlock) +
-                st_.cfg.contextSwitchOverhead;
-            st_.scheduleEventAt(done, op.seq, op.doneKind, op.arg, op.id);
-            continue;
-        }
-        // Staged global-memory instruction: the deferred tail of
-        // IssueStage::tryIssueHead. op_read completes the cycle after
-        // issue, and issue happened this cycle, so now + 1 is the same
-        // op_read the in-place call would have used.
-        Inflight &in = st_.pool[op.id];
-        WarpRt &wr = st_.warps[static_cast<size_t>(in.warp)];
-        in.mem = st_.lsu.processGlobal(*in.si, *in.ti,
-                                       wr.tr->lines(*in.ti), now + 1,
-                                       st_.policy.stallFaultsInPipeline(),
-                                       st_.cfg.faultRetryLatency);
-        if (in.mem.faulted) {
-            if (st_.san)
-                st_.san->onFaultedTranslation(st_.smId, in.warp,
-                                              in.mem.faultPage,
-                                              st_.lsu.l1Tlb(), now);
-            st_.scheduleInstEventAt(in.mem.faultDetect, op.seq,
-                                    EvKind::FaultReact, in.warp, op.id);
-            wr.maxCommitScheduled =
-                std::max(wr.maxCommitScheduled, in.mem.faultDetect);
-        } else {
-            st_.scheduleInstEventAt(in.mem.lastTlbCheck, op.seq,
-                                    EvKind::LastCheck, in.warp, op.id);
-            in.commitAt = in.mem.execDone + 1;
-            st_.scheduleInstEventAt(in.commitAt, op.seq + 1,
-                                    EvKind::Commit, in.warp, op.id);
-            wr.maxCommitScheduled =
-                std::max(wr.maxCommitScheduled, in.commitAt);
-        }
-    }
-    st_.staged.clear();
-    if (!st_.obsBuf.empty()) {
-        for (const obs::PipeEvent &e : st_.obsBuf)
-            st_.obs->event(e);
-        st_.obsBuf.clear();
-    }
-    if (st_.san)
-        st_.san->onDrainEnd(st_.smId);
 }
 
 // ---------------------------------------------------------------------------
@@ -287,18 +233,8 @@ Sm::processEvents(Cycle now)
                 break;
             }
             ts.state = TbSlot::State::Saving;
-            if (st_.cfg.idealContextSwitch) {
-                st_.scheduleEvent(now + 1, EvKind::SaveDone, slot,
-                                  UINT32_MAX);
-            } else {
-                // Bulk DRAM traffic touches the shared memory system;
-                // stage it for the drain phase with the seq the
-                // in-place scheduleEvent would have consumed.
-                st_.contextBytesMoved += st_.li.contextBytesPerBlock;
-                st_.staged.push_back({StagedOp::Kind::Bulk,
-                                      EvKind::SaveDone, slot, UINT32_MAX,
-                                      st_.reserveSeq()});
-            }
+            st_.scheduleEvent(contextMoveDone(now), EvKind::SaveDone, slot,
+                              UINT32_MAX);
             break;
           }
           case EvKind::SaveDone: {
@@ -470,6 +406,16 @@ Sm::beginDrain(int slot, Cycle now)
                       EvKind::SaveReady, slot, UINT32_MAX);
 }
 
+Cycle
+Sm::contextMoveDone(Cycle now)
+{
+    if (st_.cfg.idealContextSwitch)
+        return now + 1;
+    st_.contextBytesMoved += st_.li.contextBytesPerBlock;
+    return sys_.bulkDramTraffic(now, st_.li.contextBytesPerBlock) +
+           st_.cfg.contextSwitchOverhead;
+}
+
 void
 Sm::fillEmptySlots(Cycle now)
 {
@@ -503,17 +449,8 @@ Sm::fillEmptySlots(Cycle now)
             if (rid == st_.restorePending.size())
                 st_.restorePending.push_back(OffchipBlock{});
             st_.restorePending[rid] = std::move(ob);
-            if (st_.cfg.idealContextSwitch) {
-                st_.scheduleEvent(now + 1, EvKind::RestoreDone,
-                                  static_cast<std::int32_t>(s), rid);
-            } else {
-                // Shared bulk DRAM traffic: staged like the save path.
-                st_.contextBytesMoved += st_.li.contextBytesPerBlock;
-                st_.staged.push_back({StagedOp::Kind::Bulk,
-                                      EvKind::RestoreDone,
-                                      static_cast<std::int32_t>(s), rid,
-                                      st_.reserveSeq()});
-            }
+            st_.scheduleEvent(contextMoveDone(now), EvKind::RestoreDone,
+                              static_cast<std::int32_t>(s), rid);
             continue;
         }
 

@@ -47,33 +47,16 @@ class Sm
     /** Install a thread block into a free slot (initial fill). */
     bool launchBlock(const trace::BlockTrace *bt, Cycle now);
 
-    /** This cycle's phases changed some state (see trySleep). */
+    /** This cycle's tick changed some state (see trySleep). */
     bool didWork() const { return st_.didWork; }
 
-    // --- phased tick engine (see docs/PERFORMANCE.md) --------------------
-    // One global cycle is three phases, driven by gpu::Gpu::run:
-    //   E  tickEvents   serial, ascending SM — event dispatch, block
-    //                   lifecycle, TB-scheduler grabs; shared bulk-DRAM
-    //                   calls are staged, not performed
-    //   C  tickCompute  parallel over SMs — fetch/decode/issue against
-    //                   SM-private state only; the memory-system tail
-    //                   of an issued global instruction is staged
-    //   D  drainShared  serial, ascending SM — performs the staged
-    //                   L2/DRAM/MMU accesses in FIFO order and flushes
-    //                   buffered observer events
-    // Draining in ascending SM index reproduces the shared-resource
-    // access order of the serial tick exactly, so results are
-    // bit-identical at any thread count.
-
-    /** Phase E: dispatch due events (serial; touches the shared TB
-     *  scheduler, stages bulk context-switch traffic). */
-    void tickEvents(Cycle now);
-    /** Phase C: SM-local pipeline stages (safe to run in parallel
-     *  with other SMs' compute phases). */
-    void tickCompute(Cycle now);
-    /** Phase D: perform staged shared-memory-system operations and
-     *  flush buffered observer events (serial). */
-    void drainShared(Cycle now);
+    /**
+     * One cycle of this SM (see "The tick" in docs/PERFORMANCE.md):
+     * dispatch due events, then fetch and issue. Gpu::run ticks the
+     * awake SMs in ascending index, so TB-scheduler grabs and every
+     * L2/DRAM/MMU access happen in ascending-SM, program order.
+     */
+    void tick(Cycle now);
     /** A TB slot went Empty this cycle (gates Gpu::allDone scans). */
     bool slotReleased() const { return st_.slotReleased; }
 
@@ -87,12 +70,12 @@ class Sm
     // next event, and the ticks it skips are charged in bulk.
 
     /**
-     * After drainShared: if this cycle did no work and the next event
-     * is more than a cycle away, sleep until it. @p tick numbers the
-     * cycles the driver ticks.
+     * After tick: if this cycle did no work and the next event is more
+     * than a cycle away, sleep until it. @p tick numbers the cycles
+     * Gpu::run ticks.
      */
     void trySleep(Cycle now, std::uint64_t tick);
-    /** The driver leaves an asleep SM out of all three phases. */
+    /** Gpu::run does not tick an asleep SM. */
     bool asleep(Cycle now) const { return now < wakeAt_; }
     /**
      * End a sleep before driver tick @p tick (no-op when awake): charge
@@ -165,9 +148,11 @@ class Sm
     // --- UC1: block switching --------------------------------------------
     void beginDrain(int slot, Cycle now);
     Cycle drainTime(int slot) const;
+    /** Completion cycle of one block's context save or restore. */
+    Cycle contextMoveDone(Cycle now);
 
     PipelineState st_;
-    /** StallCounters at the start of this tick (tickEvents). */
+    /** StallCounters at the start of this tick. */
     StallCounters tickStart_;
     /** While asleep: what one skipped tick adds, and when it began. */
     StallCounters idleTick_;

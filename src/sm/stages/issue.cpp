@@ -24,14 +24,24 @@ IssueStage::tick(Cycle now)
     // unchanged scoreboard, in the same order as fetch. Each stalled
     // warp walked past costs exactly the one stallScoreboard increment
     // its full re-check would have: the walk tallies the stalled bits
-    // of the warps it passes, up to where the scan stops.
+    // of the warps it passes, up to where the scan stops. While the
+    // LSU is closed it also walks past the memReady warps; each would
+    // cost one stallLsuQueue if the queue is full, and nothing if this
+    // cycle's memory slot is taken.
     MaskWalk walk = st_.scanOrder(st_.rrIssue);
+    // Nothing in issue frees an LSU slot, so a queue full now stays
+    // full all tick. While the LSU is open, lsuGate repeats
+    // issueStalled and gates nothing more.
+    const bool lsuFull = st_.inflightMem >= st_.cfg.sm.lsuQueueDepth;
+    const Bitmask *lsuGate = lsuFull ? &st_.memReady : &st_.issueStalled;
+    const Bitmask *lsuTally = lsuFull ? &st_.memReady : nullptr;
     int total = 0;
     int warps_used = 0;
     int last_issued = st_.rrIssue;
     for (int w; total < st_.cfg.sm.issueWidth && warps_used < 2 &&
                 (w = walk.next(st_.unschedulable, st_.issueStalled,
-                               &st_.issueStalled)) >= 0;) {
+                               *lsuGate, &st_.issueStalled, lsuTally)) >=
+                    0;) {
         WarpRt &wr = st_.warps[static_cast<size_t>(w)];
         if (!wr.schedulable()) {
             st_.unschedulable.set(w);
@@ -63,8 +73,11 @@ IssueStage::tick(Cycle now)
             ++warps_used;
             last_issued = w;
         }
+        if (st_.lsuIssuedAt == now)
+            lsuGate = &st_.memReady;
     }
-    st_.stallScoreboard += walk.tallied();
+    st_.stallScoreboard += walk.tallied(0);
+    st_.stallLsuQueue += walk.tallied(1);
     if (total > 0)
         st_.rrIssue = last_issued;
 }
@@ -96,9 +109,11 @@ IssueStage::tryIssueHead(int w, Cycle now)
     // --- structural gates ---
     if (is_global) {
         if (st_.lsuIssuedAt == now) {
+            st_.memReady.set(w);
             return false; // one memory instruction per cycle
         }
         if (st_.inflightMem >= st_.cfg.sm.lsuQueueDepth) {
+            st_.memReady.set(w);
             ++st_.stallLsuQueue;
             return false;
         }
@@ -146,14 +161,28 @@ IssueStage::tryIssueHead(int w, Cycle now)
     if (is_global) {
         st_.lsuIssuedAt = now;
         ++st_.inflightMem;
-        // The LSU tail (translation through the shared MMU, L2/DRAM
-        // access) runs in the serial drain phase; stage it with two
-        // reserved seqs so the LastCheck-then-Commit (or FaultReact)
-        // events sort exactly where the in-place calls put them. The
-        // timeline feeds only strictly-future events, so nothing else
-        // this cycle needs it.
-        st_.staged.push_back({StagedOp::Kind::Mem, EvKind::LastCheck, w,
-                              id, st_.reserveSeq(2)});
+        // The LSU tail: translation through the shared MMU, then the
+        // L1/L2/DRAM access.
+        in.mem = st_.lsu.processGlobal(si, ti, wr.tr->lines(ti), op_read,
+                                       st_.policy.stallFaultsInPipeline(),
+                                       st_.cfg.faultRetryLatency);
+        if (in.mem.faulted) {
+            if (st_.san)
+                st_.san->onFaultedTranslation(st_.smId, w, in.mem.faultPage,
+                                              st_.lsu.l1Tlb(), now);
+            st_.scheduleInstEvent(in.mem.faultDetect, EvKind::FaultReact, w,
+                                  id);
+            // The seq a Commit would have taken stays unused, so every
+            // global instruction consumes two.
+            ++st_.eventSeq;
+            wr.maxCommitScheduled =
+                std::max(wr.maxCommitScheduled, in.mem.faultDetect);
+        } else {
+            st_.scheduleInstEvent(in.mem.lastTlbCheck, EvKind::LastCheck, w,
+                                  id);
+            in.commitAt = in.mem.execDone + 1;
+            st_.scheduleInstEvent(in.commitAt, EvKind::Commit, w, id);
+        }
         // Source release point depends on the scheme. Under the
         // replay-queue scheme, sources of a faulted instruction stay
         // held until it is squashed (its last TLB check never comes).
@@ -214,12 +243,7 @@ IssueStage::tryIssueHead(int w, Cycle now)
     }
 
     ++wr.inflight;
-    // Global-memory instructions extend maxCommitScheduled in the
-    // drain phase, once their timeline exists; no reader runs before
-    // then (the drain-time users all live in the events phase).
-    if (!is_global)
-        wr.maxCommitScheduled =
-            std::max(wr.maxCommitScheduled, in.commitAt);
+    wr.maxCommitScheduled = std::max(wr.maxCommitScheduled, in.commitAt);
     ++st_.instsIssued;
     st_.didWork = true;
     return true;

@@ -4,7 +4,8 @@
  * against a std::vector<bool> reference at every size 1..1024 (most of
  * them not a multiple of the 64-bit word), covering set/reset/test,
  * next-clear-in-range over two masks, range popcount, and the warp
- * schedulers' rotated walk with a head/skip index and a tally.
+ * schedulers' rotated walk with a head/skip index and one or two
+ * tallies.
  */
 
 #include <gtest/gtest.h>
@@ -195,6 +196,42 @@ TEST(Bitmask, RotatedWalkMatchesWarpByWarpScan)
                 expectFull.push_back(p);
         EXPECT_EQ(full, expectFull);
         EXPECT_EQ(all.tallied(), 0u);
+
+        // The two-tally walk (the issue scan with the LSU closed): a
+        // third gating mask, and each passed-over position counted in
+        // every tally mask it is set in.
+        Bitmask c(size), t0(size), t1(size);
+        Ref rc(static_cast<std::size_t>(size)),
+            rt0(static_cast<std::size_t>(size)),
+            rt1(static_cast<std::size_t>(size));
+        randomize(rng, c, rc, below(rng, 60));
+        randomize(rng, t0, rt0, below(rng, 101));
+        randomize(rng, t1, rt1, below(rng, 101));
+        std::vector<int> expect3;
+        std::uint64_t expect0 = 0, expect1 = 0;
+        for (int p : refOrder(head, start, n)) {
+            if (static_cast<int>(expect3.size()) == stopAfter)
+                break;
+            const std::size_t u = static_cast<std::size_t>(p);
+            if (!ra[u] && !rb[u] && !rc[u]) {
+                expect3.push_back(p);
+                continue;
+            }
+            expect0 += rt0[u];
+            expect1 += rt1[u];
+        }
+        MaskWalk walk3(head, start, n);
+        std::vector<int> picks3;
+        for (int p; static_cast<int>(picks3.size()) < stopAfter &&
+                    (p = walk3.next(a, b, c, &t0, &t1)) >= 0;) {
+            picks3.push_back(p);
+            t0.set(p);
+            t1.set(p);
+        }
+        EXPECT_EQ(picks3, expect3)
+            << "head " << head << " start " << start << " n " << n;
+        EXPECT_EQ(walk3.tallied(0), expect0);
+        EXPECT_EQ(walk3.tallied(1), expect1);
     }
 }
 

@@ -125,6 +125,9 @@ TEST(SeededViolations, EventSeqTripsTheEventHeapChecker)
     EXPECT_NE(e.report().find("scheduled into the past"),
               std::string::npos)
         << e.report();
+    // The hook fires in the first issue stage after cycle 0, on SM 0.
+    EXPECT_EQ(e.context().cycle, 1u);
+    EXPECT_EQ(e.context().sm, 0);
 }
 
 TEST(SeededViolations, DoubleCommitTripsExactlyOnceRetirement)
@@ -264,13 +267,11 @@ TEST(FuzzCampaign, GenerationIsDeterministic)
 
 TEST(FuzzCampaign, QuickDifferentialCampaignPasses)
 {
-    // Two seeded cases, all five schemes each, sanitizer + oracle +
-    // smThreads 1-vs-4 bit-identity. Any divergence fails the test
-    // with the full failure report.
+    // Two seeded cases, all five schemes each, sanitizer + oracle.
+    // Any divergence fails the test with the full failure report.
     check::FuzzOptions opt;
     opt.seed = 42;
     opt.cases = 2;
-    opt.smThreadsAlt = 4;
     opt.workloads = {"bfs", "spmv"};
     check::FuzzCampaign camp(opt);
     check::FuzzFailure fail;
@@ -282,7 +283,6 @@ TEST(FuzzCampaign, SeededFailureShrinksToAReplayableSpec)
 {
     check::FuzzOptions opt;
     opt.seed = 5;
-    opt.smThreadsAlt = 1; // the violation trips on the first run
     check::FuzzCampaign camp(opt);
 
     // A hand-built failing case with noise knobs the shrinker should

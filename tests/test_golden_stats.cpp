@@ -116,28 +116,21 @@ const GoldenPoint kGolden[] = {
 TEST(GoldenStats, EveryPointBitIdenticalToCapturedBaseline)
 {
     harness::TraceCache cache; // share each workload's trace across points
-    // The phased tick engine promises bit-identical results at any
-    // smThreads setting, so the golden table must hold at each one.
-    for (int smThreads : {1, 4, 8}) {
-        for (const GoldenPoint &pt : kGolden) {
-            SCOPED_TRACE(std::string(pt.workload) + "/" + pt.scheme +
-                         "/" + pt.policy +
-                         (pt.blockSwitching ? "/bs" : "") +
-                         "/smThreads=" + std::to_string(smThreads));
-            const harness::TracedWorkload &tw = cache.get(pt.workload);
-            gpu::GpuConfig cfg = gpu::GpuConfig::baseline();
-            cfg.scheme = gpu::schemeFromName(pt.scheme);
-            cfg.blockSwitching = pt.blockSwitching;
-            cfg.smThreads = smThreads;
-            gpu::Gpu g(cfg);
-            gpu::SimResult r =
-                g.run(tw.kernel, tw.trace, policyByName(pt.policy));
-            EXPECT_EQ(static_cast<std::uint64_t>(r.cycles), pt.cycles);
-            EXPECT_EQ(r.instructions, pt.instructions);
-            EXPECT_EQ(digestStats(r), pt.statsDigest)
-                << "a statistic changed value — the timing refactor is "
-                   "no longer behavior-neutral";
-        }
+    for (const GoldenPoint &pt : kGolden) {
+        SCOPED_TRACE(std::string(pt.workload) + "/" + pt.scheme + "/" +
+                     pt.policy + (pt.blockSwitching ? "/bs" : ""));
+        const harness::TracedWorkload &tw = cache.get(pt.workload);
+        gpu::GpuConfig cfg = gpu::GpuConfig::baseline();
+        cfg.scheme = gpu::schemeFromName(pt.scheme);
+        cfg.blockSwitching = pt.blockSwitching;
+        gpu::Gpu g(cfg);
+        gpu::SimResult r =
+            g.run(tw.kernel, tw.trace, policyByName(pt.policy));
+        EXPECT_EQ(static_cast<std::uint64_t>(r.cycles), pt.cycles);
+        EXPECT_EQ(r.instructions, pt.instructions);
+        EXPECT_EQ(digestStats(r), pt.statsDigest)
+            << "a statistic changed value — the timing refactor is "
+               "no longer behavior-neutral";
     }
 }
 
@@ -204,18 +197,15 @@ withKnobs(const char *knobs)
     return p.cfg;
 }
 
-/** Run @p pt at @p smThreads and check it against its pins. */
+/** Run @p pt and check it against its pins. */
 gpu::SimResult
-expectPinned(harness::TraceCache &cache, const GeometryPoint &pt,
-             int smThreads)
+expectPinned(harness::TraceCache &cache, const GeometryPoint &pt)
 {
     SCOPED_TRACE(std::string(pt.workload) + "/" + pt.scheme + "/" +
-                 pt.policy + " [" + pt.knobs +
-                 "] smThreads=" + std::to_string(smThreads));
+                 pt.policy + " [" + pt.knobs + "]");
     const harness::TracedWorkload &tw = cache.get(pt.workload);
     gpu::GpuConfig cfg = withKnobs(pt.knobs);
     cfg.scheme = gpu::schemeFromName(pt.scheme);
-    cfg.smThreads = smThreads;
     if (cfg.sm.maxWarps > 64) {
         // Such a point exists to keep more than one mask word of warps
         // resident on each SM.
@@ -235,9 +225,8 @@ expectPinned(harness::TraceCache &cache, const GeometryPoint &pt,
 TEST(GoldenStats, SchedulerGeometriesBitIdenticalToCapturedBaseline)
 {
     harness::TraceCache cache;
-    for (int smThreads : {1, 4})
-        for (const GeometryPoint &pt : kGeometry)
-            expectPinned(cache, pt, smThreads);
+    for (const GeometryPoint &pt : kGeometry)
+        expectPinned(cache, pt);
 }
 
 /**
@@ -259,8 +248,7 @@ TEST(GoldenStats, GtoWithEveryWarpSlotFilledCompletes)
     ASSERT_EQ(gpu::blocksPerSm(cfg, tw.kernel) *
                   static_cast<int>(tw.kernel.warpsPerBlock()),
               cfg.sm.maxWarps);
-    for (int smThreads : {1, 4})
-        expectPinned(cache, pt, smThreads);
+    expectPinned(cache, pt);
 }
 
 struct QuietPoint {
@@ -292,11 +280,9 @@ const QuietPoint kQuiet[] = {
 TEST(GoldenStats, QuietChargeBitIdenticalToCapturedBaseline)
 {
     harness::TraceCache cache;
-    for (int smThreads : {1, 4}) {
-        for (const QuietPoint &q : kQuiet) {
-            gpu::SimResult r = expectPinned(cache, q.pt, smThreads);
-            EXPECT_GT(r.stats.get(q.charged), 0.0) << q.charged;
-        }
+    for (const QuietPoint &q : kQuiet) {
+        gpu::SimResult r = expectPinned(cache, q.pt);
+        EXPECT_GT(r.stats.get(q.charged), 0.0) << q.charged;
     }
 }
 

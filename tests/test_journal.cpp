@@ -93,10 +93,10 @@ TEST(Journal, DigestIgnoresExecutionKnobsOnly)
     const std::uint64_t d0 = harness::specDigest(rs);
 
     // Execution-environment knobs do not change results and must not
-    // change the digest: a campaign resumes at any parallelism.
-    harness::RunSpec par = rs;
-    par.cfg.smThreads = 8;
-    EXPECT_EQ(harness::specDigest(par), d0);
+    // change the digest: a campaign resumes with or without --check.
+    harness::RunSpec chk = rs;
+    chk.cfg.checkInvariants = true;
+    EXPECT_EQ(harness::specDigest(chk), d0);
 
     // Everything result-affecting must change it.
     harness::RunSpec sms = rs;
@@ -212,15 +212,13 @@ TEST(Journal, InterruptedCampaignResumesBitIdentical)
     }
 
     // The resume: fresh process state, the full grid, more worker
-    // threads AND more SM-tick threads than the first attempt.
+    // threads than the first attempt.
     harness::CampaignJournal j(path);
     EXPECT_EQ(j.load(), 2u);
     harness::SweepEngine eng(4);
     eng.setJournal(&j);
-    for (auto rs : grid) {
-        rs.cfg.smThreads = 4;
-        eng.add(std::move(rs));
-    }
+    for (const auto &rs : grid)
+        eng.add(rs);
     std::vector<harness::RunRecord> runs = eng.run();
     EXPECT_EQ(j.size(), grid.size());
     std::string got = reportJson(std::move(runs));

@@ -3,8 +3,9 @@
  * Integration tests: the pipeline observer layer (src/obs) — event
  * sequences emitted by the stage modules under the schemes whose
  * semantics they make visible, the Chrome-trace writer's JSON, the
- * pipeline view's ring, and the guarantee that attaching an observer
- * never changes simulation behaviour.
+ * pipeline view's ring, the guarantee that attaching an observer
+ * never changes simulation behaviour, and pinned digests of five full
+ * event streams.
  */
 
 #include <gtest/gtest.h>
@@ -14,9 +15,11 @@
 #include <string>
 #include <vector>
 
+#include "common/digest.hpp"
 #include "common/json.hpp"
 #include "func/functional_sim.hpp"
 #include "gpu/gpu.hpp"
+#include "harness/sweep.hpp"
 #include "kasm/builder.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/observer.hpp"
@@ -390,6 +393,95 @@ TEST(Observer, EventNamesAreKebabCaseAndDistinct)
     std::sort(names.begin(), names.end());
     EXPECT_EQ(std::adjacent_find(names.begin(), names.end()),
               names.end());
+}
+
+/** FNV-1a over every field of every event, in emission order. */
+class DigestObserver : public obs::PipelineObserver
+{
+  public:
+    void
+    event(const PipeEvent &e) override
+    {
+        f.u64(e.cycle);
+        f.u64(static_cast<std::uint64_t>(e.sm));
+        f.u64(static_cast<std::uint64_t>(e.slot));
+        f.u64(static_cast<std::uint64_t>(e.warp));
+        f.u64(static_cast<std::uint64_t>(e.kind));
+        f.u64(e.traceIdx);
+        f.u64(e.staticIdx);
+        f.u64(e.arg);
+        ++count;
+    }
+
+    Fnv1a f;
+    std::uint64_t count = 0;
+};
+
+struct StreamPoint {
+    const char *workload;
+    const char *scheme;
+    bool demandPaging;
+    bool blockSwitching;
+    bool gto;
+    double injectRate; ///< Bernoulli; 0 = off
+    /** A stat the point exists to exercise; must be non-zero. */
+    const char *exercised;
+    std::uint64_t events;
+    std::uint64_t digest;
+};
+
+// Pinned on the three-phase tick engine (serial events, per-SM compute
+// staged for a serial drain, observer events buffered per SM and
+// flushed in ascending SM order), before it became one fused serial
+// tick per SM. UC1 block switching under demand paging, Bernoulli
+// injection under the operand log, the wd-commit fetch barrier, GTO,
+// and histo, whose SMs sleep through most cycles.
+const StreamPoint kStream[] = {
+    {"lbm", "replay-queue", true, true, false, 0.0, "sm.switch_outs",
+     621378ull, 0x8685d208f3977b5bull},
+    {"spmv", "operand-log", false, false, false, 0.01,
+     "mmu.injected_faults", 770275ull, 0x242a8f4679b0284full},
+    {"bfs", "wd-commit", true, false, false, 0.0, "mmu.faults",
+     293400ull, 0x6fa0ef5f4a60da3aull},
+    {"bfs", "replay-queue", true, false, true, 0.0, "mmu.faults",
+     277762ull, 0x292d011b02ff21d3ull},
+    {"histo", "replay-queue", true, false, false, 0.0,
+     "sm.stall_scoreboard", 338399ull, 0x615d2aba5b9503c6ull},
+};
+
+TEST(Observer, EventStreamBitIdenticalToCapturedBaseline)
+{
+    harness::TraceCache cache;
+    for (const StreamPoint &pt : kStream) {
+        SCOPED_TRACE(std::string(pt.workload) + "/" + pt.scheme);
+        const harness::TracedWorkload &tw = cache.get(pt.workload);
+        gpu::GpuConfig cfg = gpu::GpuConfig::baseline();
+        cfg.scheme = gpu::schemeFromName(pt.scheme);
+        cfg.blockSwitching = pt.blockSwitching;
+        if (pt.gto)
+            cfg.sm.schedPolicy = gpu::SchedPolicy::GreedyThenOldest;
+        vm::VmPolicy policy = pt.demandPaging
+                                  ? vm::VmPolicy::demandPaging()
+                                  : vm::VmPolicy::allResident();
+        if (pt.injectRate > 0) {
+            policy.inject.model = inject::ModelKind::Bernoulli;
+            policy.inject.rate = pt.injectRate;
+            policy.inject.seed = 7;
+        }
+        // Under --check the sanitizer heads the observer chain and
+        // forwards the same stream.
+        for (bool check : {false, true}) {
+            SCOPED_TRACE(check ? "check" : "plain");
+            cfg.checkInvariants = check;
+            DigestObserver d;
+            gpu::Gpu g(cfg);
+            g.setObserver(&d);
+            gpu::SimResult r = g.run(tw.kernel, tw.trace, policy);
+            EXPECT_GT(r.stats.get(pt.exercised), 0.0) << pt.exercised;
+            EXPECT_EQ(d.count, pt.events);
+            EXPECT_EQ(d.f.h, pt.digest);
+        }
+    }
 }
 
 } // namespace

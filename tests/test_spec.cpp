@@ -131,7 +131,7 @@ TEST(KnobRegistry, ExecOnlyKnobsDoNotMoveTheDigest)
         k.set(p, perturbed(k));
         EXPECT_EQ(reg.resultDigest(p), d0) << "knob " << k.name;
     }
-    EXPECT_TRUE(sawExecOnly); // sm-threads at minimum
+    EXPECT_TRUE(sawExecOnly); // check at minimum
 }
 
 TEST(KnobRegistry, SuggestFindsNearMisses)

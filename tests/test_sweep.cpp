@@ -197,6 +197,32 @@ TEST(SweepEngine, ParallelSweepBitIdenticalToSerial)
     }
 }
 
+/** Full-size machines (16 SMs) on two workers match the serial sweep. */
+TEST(SweepEngine, FullSizeSweepDeterministicAcrossJobs)
+{
+    auto grid = [](int jobs) {
+        harness::SweepEngine eng(jobs);
+        for (const char *w : {"bfs", "sgemm"}) {
+            for (gpu::Scheme s :
+                 {gpu::Scheme::StallOnFault, gpu::Scheme::ReplayQueue}) {
+                harness::RunSpec rs;
+                rs.workload = w;
+                rs.cfg = gpu::GpuConfig::baseline();
+                rs.cfg.scheme = s;
+                eng.add(std::move(rs));
+            }
+        }
+        return eng.run();
+    };
+    auto serial = grid(1);
+    auto parallel = grid(2);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(serial[i].result.cycles, parallel[i].result.cycles);
+        EXPECT_EQ(serial[i].result.toJson(), parallel[i].result.toJson());
+    }
+}
+
 TEST(SweepEngine, ResultsLandInAddOrder)
 {
     std::vector<harness::RunSpec> grid = smallGrid();
