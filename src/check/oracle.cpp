@@ -1,5 +1,8 @@
 #include "check/oracle.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include "common/digest.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -20,26 +23,35 @@ ArchFingerprint::toString() const
                      static_cast<unsigned long long>(dynamicInsts));
 }
 
+static_assert(sizeof(WarpMask) == 4,
+              "traceDigest packs staticIdx and the active mask in one word");
+
 std::uint64_t
 traceDigest(const trace::KernelTrace &trace)
 {
-    Fnv1a f;
+    WordHash h;
+    // Each warp's stream is packed into one buffer and hashed in bulk,
+    // where the hash's four lanes run in registers.
+    std::vector<std::uint64_t> words;
     for (const trace::BlockTrace &bt : trace.blocks) {
-        f.u64(bt.blockId);
+        h.u64(bt.blockId);
         for (const trace::WarpTrace &wt : bt.warps) {
-            f.u64(wt.insts.size());
+            std::size_t n = 1 + 2 * wt.insts.size();
+            for (const trace::TraceInst &ti : wt.insts)
+                n += ti.numLines;
+            words.resize(n);
+            std::uint64_t *o = words.data();
+            *o++ = wt.insts.size();
             for (const trace::TraceInst &ti : wt.insts) {
-                f.u64(ti.staticIdx);
-                f.u64(static_cast<std::uint64_t>(ti.active));
-                f.u64((static_cast<std::uint64_t>(ti.numLines) << 17) ^
-                      ti.numActive ^ (ti.arithFault ? 1ull << 40 : 0));
-                const Addr *lines = wt.lines(ti);
-                for (std::uint16_t l = 0; l < ti.numLines; ++l)
-                    f.u64(lines[l]);
+                *o++ = std::uint64_t{ti.staticIdx} << 32 | ti.active;
+                *o++ = ti.numLines | std::uint64_t{ti.numActive} << 16 |
+                       std::uint64_t{ti.arithFault} << 32;
+                o = std::copy_n(wt.lines(ti), ti.numLines, o);
             }
+            h.u64s(words.data(), n);
         }
     }
-    return f.h;
+    return h.finish();
 }
 
 ArchFingerprint

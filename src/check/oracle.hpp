@@ -43,11 +43,16 @@ struct GpuConfig;
 
 namespace gex::check {
 
-/** Architectural identity of one executed workload. */
+/**
+ * Architectural identity of one executed workload. The digests are
+ * WordHash values (common/digest.hpp): compared only within one
+ * process, reference against replay, and never persisted or pinned,
+ * so a faster hash may replace them without moving any stored digest.
+ */
 struct ArchFingerprint {
     /** func::GlobalMemory::digest() of the final memory image. */
     std::uint64_t memDigest = 0;
-    /** FNV-1a over every warp's committed instruction stream. */
+    /** traceDigest() of every warp's committed instruction stream. */
     std::uint64_t traceDigest = 0;
     std::uint64_t dynamicInsts = 0;
 
@@ -63,7 +68,7 @@ struct ArchFingerprint {
 };
 
 /**
- * FNV-1a digest of the per-warp committed instruction streams: every
+ * WordHash digest of the per-warp committed instruction streams: every
  * (block, warp, staticIdx, active mask, coalesced lines, arithFault)
  * in program order. Two traces with equal digests describe the same
  * architectural execution.

@@ -8,13 +8,28 @@
 
 namespace gex::func {
 
+namespace {
+
+/** Index of @p a's word within its page (@p a is 8-byte aligned). */
+std::size_t
+wordIndex(Addr a)
+{
+    return static_cast<std::size_t>(a % kPageSize) / 8;
+}
+
+} // namespace
+
 GlobalMemory::Page &
 GlobalMemory::page(Addr page_num)
 {
-    auto it = pages_.find(page_num);
-    if (it == pages_.end())
-        it = pages_.emplace(page_num, Page(kPageSize, 0)).first;
-    return it->second;
+    if (memo_.num != page_num) {
+        auto it = pages_.find(page_num);
+        if (it == pages_.end())
+            it = pages_.emplace(page_num, Page(kPageSize / 8, 0)).first;
+        memo_.num = page_num;
+        memo_.page = &it->second;
+    }
+    return *memo_.page;
 }
 
 const GlobalMemory::Page *
@@ -25,16 +40,28 @@ GlobalMemory::pageIfPresent(Addr page_num) const
 }
 
 std::uint64_t
+GlobalMemory::read64(Addr a)
+{
+    GEX_ASSERT((a & 7) == 0, "unaligned read64 at 0x%llx",
+               static_cast<unsigned long long>(a));
+    const Addr num = pageOf(a);
+    if (memo_.num != num) {
+        auto it = pages_.find(num);
+        if (it == pages_.end())
+            return 0;
+        memo_.num = num;
+        memo_.page = &it->second;
+    }
+    return (*memo_.page)[wordIndex(a)];
+}
+
+std::uint64_t
 GlobalMemory::read64(Addr a) const
 {
     GEX_ASSERT((a & 7) == 0, "unaligned read64 at 0x%llx",
                static_cast<unsigned long long>(a));
     const Page *p = pageIfPresent(pageOf(a));
-    if (!p)
-        return 0;
-    std::uint64_t v;
-    std::memcpy(&v, p->data() + (a % kPageSize), sizeof(v));
-    return v;
+    return p ? (*p)[wordIndex(a)] : 0;
 }
 
 void
@@ -42,8 +69,7 @@ GlobalMemory::write64(Addr a, std::uint64_t v)
 {
     GEX_ASSERT((a & 7) == 0, "unaligned write64 at 0x%llx",
                static_cast<unsigned long long>(a));
-    Page &p = page(pageOf(a));
-    std::memcpy(p.data() + (a % kPageSize), &v, sizeof(v));
+    page(pageOf(a))[wordIndex(a)] = v;
 }
 
 void
@@ -79,14 +105,14 @@ GlobalMemory::digest() const
     for (const auto &kv : pages_)
         nums.push_back(kv.first);
     std::sort(nums.begin(), nums.end());
-    Fnv1a f;
+    WordHash h;
     for (Addr n : nums) {
-        f.u64(n);
+        h.u64(n);
         const Page &p = pages_.at(n);
-        f.bytes(p.data(), p.size());
+        h.u64s(p.data(), p.size());
     }
-    f.u64(heapUsed_);
-    return f.h;
+    h.u64(heapUsed_);
+    return h.finish();
 }
 
 Addr

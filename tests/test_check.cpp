@@ -18,8 +18,10 @@
 #include "common/json.hpp"
 #include "config/cli.hpp"
 #include "config/knob_registry.hpp"
+#include "func/memory.hpp"
 #include "gpu/gpu.hpp"
 #include "harness/sweep.hpp"
+#include "trace/trace.hpp"
 
 namespace gex {
 namespace {
@@ -211,15 +213,18 @@ TEST(CheckedRegressions, ReplayedEntriesSurviveASecondFault)
 
 TEST(ArchOracleContract, ReplayAndTimingPassOnAHealthyRun)
 {
-    const harness::TracedWorkload &tw = cache().get("sgemm");
-    check::ArchOracle oracle("sgemm", 1, *tw.mem, tw.trace);
-    EXPECT_NO_THROW(oracle.verifyReplay());
+    for (const char *name : {"sgemm", "bfs", "histo"}) {
+        SCOPED_TRACE(name);
+        const harness::TracedWorkload &tw = cache().get(name);
+        check::ArchOracle oracle(name, 1, *tw.mem, tw.trace);
+        EXPECT_NO_THROW(oracle.verifyReplay());
 
-    gpu::GpuConfig cfg = gpu::GpuConfig::baseline();
-    cfg.numSms = 4;
-    gpu::Gpu g(cfg);
-    gpu::SimResult r = g.run(tw.kernel, tw.trace);
-    EXPECT_NO_THROW(oracle.verifyTiming(r, cfg));
+        gpu::GpuConfig cfg = gpu::GpuConfig::baseline();
+        cfg.numSms = 4;
+        gpu::Gpu g(cfg);
+        gpu::SimResult r = g.run(tw.kernel, tw.trace);
+        EXPECT_NO_THROW(oracle.verifyTiming(r, cfg));
+    }
 }
 
 TEST(ArchOracleContract, TimingMismatchThrowsInvariantError)
@@ -244,6 +249,87 @@ TEST(ArchOracleContract, FingerprintsDifferAcrossWorkloads)
     const harness::TracedWorkload &b = cache().get("bfs");
     EXPECT_NE(check::fingerprint(*a.mem, a.trace),
               check::fingerprint(*b.mem, b.trace));
+}
+
+/** A two-instruction warp; the second is a load of two lines. */
+trace::KernelTrace
+tinyTrace()
+{
+    trace::WarpTrace wt;
+    wt.insts.push_back({3, 0xffu, 0, 0, 8, false});
+    wt.insts.push_back({4, 0x0fu, 0, 2, 4, false});
+    wt.linePool = {0x10000, 0x10080};
+    trace::KernelTrace kt;
+    kt.blocks.emplace_back();
+    kt.blocks[0].blockId = 1;
+    kt.blocks[0].warps.push_back(std::move(wt));
+    return kt;
+}
+
+/** Two pages (the second's last word set) and a heap. */
+void
+fillTinyMemory(func::GlobalMemory &mem)
+{
+    mem.setHeap(1 << 20, 1 << 16);
+    mem.write64(0x10000, 7);
+    mem.write64(0x11000 + kPageSize - 8, 9);
+}
+
+TEST(ArchOracleContract, FingerprintMovesOnEverySingleChange)
+{
+    func::GlobalMemory mem;
+    fillTinyMemory(mem);
+    const trace::KernelTrace kt = tinyTrace();
+    const check::ArchFingerprint ref = check::fingerprint(mem, kt);
+
+    auto traceMoves = [&](const char *what, auto mutate) {
+        trace::KernelTrace t = kt;
+        mutate(t.blocks[0].warps[0]);
+        const check::ArchFingerprint fp = check::fingerprint(mem, t);
+        EXPECT_NE(fp.traceDigest, ref.traceDigest) << what;
+        EXPECT_EQ(fp.memDigest, ref.memDigest) << what;
+    };
+    traceMoves("line address",
+               [](trace::WarpTrace &w) { w.linePool[1] += kLineSize; });
+    traceMoves("active bit",
+               [](trace::WarpTrace &w) { w.insts[1].active ^= 1u << 31; });
+    traceMoves("arithFault",
+               [](trace::WarpTrace &w) { w.insts[0].arithFault = true; });
+
+    // One byte, in the first page's first word and the second page's
+    // last word (the tail of the page's word stream).
+    for (Addr a : {Addr{0x10000}, Addr{0x11000 + kPageSize - 8}}) {
+        func::GlobalMemory m;
+        fillTinyMemory(m);
+        m.write64(a, m.read64(a) ^ 1ull << 56);
+        const check::ArchFingerprint fp = check::fingerprint(m, kt);
+        EXPECT_NE(fp.memDigest, ref.memDigest) << std::hex << a;
+        EXPECT_EQ(fp.traceDigest, ref.traceDigest);
+    }
+
+    // heapUsed alone: the same bytes (cursor included), one more
+    // allocation recorded.
+    func::GlobalMemory a, b;
+    fillTinyMemory(a);
+    fillTinyMemory(b);
+    b.allocFromHeap(16);
+    a.write64(a.heapCursorAddr(), b.read64(b.heapCursorAddr()));
+    EXPECT_EQ(a.touchedPages(), b.touchedPages());
+    EXPECT_NE(check::fingerprint(a, kt).memDigest,
+              check::fingerprint(b, kt).memDigest);
+}
+
+TEST(ArchOracleContract, MemDigestIgnoresTouchOrder)
+{
+    const Addr pages[] = {0x5000, 0x1000, 0x9000};
+    func::GlobalMemory fwd, rev;
+    for (Addr p : pages)
+        fwd.write64(p + 8, p);
+    for (int i = 2; i >= 0; --i) {
+        rev.read64(pages[i] + 16);
+        rev.write64(pages[i] + 8, pages[i]);
+    }
+    EXPECT_EQ(fwd.digest(), rev.digest());
 }
 
 // --- Differential fuzz campaign -------------------------------------

@@ -1,11 +1,13 @@
-/** @file Unit tests: common utilities (stats, rng, math, types). */
+/** @file Unit tests: common utilities (stats, rng, math, types, digests). */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <vector>
 
+#include "common/digest.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 
@@ -130,6 +132,67 @@ TEST(Types, PageAndLineHelpers)
     EXPECT_EQ(lineOf(127), 0u);
     EXPECT_EQ(lineOf(128), 128u);
     EXPECT_EQ(lineOf(255), 128u);
+}
+
+// Fnv1a backs every persisted and pinned digest (knob result/schema
+// digests, journal spec digests, golden and observer-stream pins); a
+// change to its output must fail here first.
+TEST(Digest, Fnv1aKnownAnswers)
+{
+    Fnv1a empty;
+    empty.bytes("", 0);
+    EXPECT_EQ(empty.h, 0xcbf29ce484222325ull);
+    Fnv1a a;
+    a.bytes("a", 1);
+    EXPECT_EQ(a.h, 0xaf63dc4c8601ec8cull);
+    Fnv1a w;
+    w.u64(0x0123456789abcdefull);
+    EXPECT_EQ(w.h, 0x37eb3f3347761c55ull);
+}
+
+TEST(Digest, WordHashBulkMatchesWordByWord)
+{
+    // Every split of the buffered partial stripe against the bulk path.
+    for (std::size_t prefix = 0; prefix < 4; ++prefix) {
+        for (std::size_t n : {0, 1, 3, 4, 5, 8, 9, 512}) {
+            std::vector<std::uint64_t> ws(n);
+            for (std::size_t i = 0; i < n; ++i)
+                ws[i] = i * 0x0101010101010101ull + 1;
+            WordHash bulk, one;
+            for (std::size_t i = 0; i < prefix; ++i) {
+                bulk.u64(100 + i);
+                one.u64(100 + i);
+            }
+            bulk.u64s(ws.data(), n);
+            for (std::uint64_t w : ws)
+                one.u64(w);
+            EXPECT_EQ(bulk.finish(), one.finish())
+                << "prefix " << prefix << " n " << n;
+        }
+    }
+}
+
+TEST(Digest, WordHashSeesOrderAndLength)
+{
+    auto hash = [](std::vector<std::uint64_t> ws) {
+        WordHash h;
+        for (std::uint64_t w : ws)
+            h.u64(w);
+        return h.finish();
+    };
+    EXPECT_NE(hash({1, 2}), hash({2, 1}));
+    EXPECT_NE(hash({}), hash({0}));
+    EXPECT_NE(hash({0}), hash({0, 0}));
+    EXPECT_NE(hash({1, 2, 3, 4}), hash({1, 2, 3, 4, 0}));
+    EXPECT_NE(hash({1, 2, 3, 4, 5, 6, 7, 8}),
+              hash({5, 6, 7, 8, 1, 2, 3, 4}));
+    // Every word of full stripes and of the partial tail counts.
+    const std::vector<std::uint64_t> ws = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+    for (std::size_t i = 0; i < ws.size(); ++i) {
+        std::vector<std::uint64_t> flipped = ws;
+        flipped[i] ^= 1ull << 63;
+        EXPECT_NE(hash(flipped), hash(ws)) << "word " << i;
+    }
 }
 
 } // namespace

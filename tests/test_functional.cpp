@@ -36,6 +36,30 @@ run1(GlobalMemory &mem, isa::Program prog, std::uint32_t threads,
     return fsim.run(k);
 }
 
+TEST(GlobalMemory, CopiesAndMovesDoNotShareTheLastPageMemo)
+{
+    GlobalMemory a;
+    a.write64(kIn, 1);
+    GlobalMemory b = a;
+    b.write64(kIn, 2);
+    EXPECT_EQ(a.read64(kIn), 1u);
+    EXPECT_EQ(b.read64(kIn), 2u);
+
+    // c's memo names its own kOut page, which the assignment frees.
+    GlobalMemory c;
+    c.write64(kOut, 3);
+    c = a;
+    EXPECT_EQ(c.read64(kOut), 0u);
+    c.write64(kIn, 4);
+    EXPECT_EQ(a.read64(kIn), 1u);
+
+    GlobalMemory d = std::move(b);
+    EXPECT_EQ(d.read64(kIn), 2u);
+    d.write64(kIn + 8, 5);
+    const GlobalMemory &cd = d;
+    EXPECT_EQ(cd.read64(kIn + 8), 5u);
+}
+
 TEST(Functional, VectorIncrement)
 {
     GlobalMemory mem;

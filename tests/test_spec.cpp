@@ -236,8 +236,9 @@ TEST(Manifest, RoundTripsToAnEqualDigest)
     reg.applySpecText(b, manifestText(a), "manifest");
     EXPECT_EQ(reg.resultDigest(b), reg.resultDigest(a));
     for (const config::Knob &k : reg.knobs()) {
-        if (!k.preset && !k.execOnly)
+        if (!k.preset && !k.execOnly) {
             EXPECT_EQ(k.get(b), k.get(a)) << "knob " << k.name;
+        }
     }
 }
 
