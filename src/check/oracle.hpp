@@ -12,7 +12,7 @@
  *  2. the timing simulator retires exactly the traced stream: every
  *     traced instruction commits exactly once under any scheme, fault
  *     model and UC1/UC2 setting — enforced per event by
- *     SimSanitizer's coverage bitmap, and summarized here by the
+ *     SimSanitizer's per-instruction shadow, and summarized here by the
  *     committed-instruction count (verifyTiming);
  *  3. schemes are equivalent: with 1 and 2 holding for every scheme
  *     over the same trace, all five produce the same architectural
@@ -46,8 +46,10 @@ namespace gex::check {
 /**
  * Architectural identity of one executed workload. The digests are
  * WordHash values (common/digest.hpp): compared only within one
- * process, reference against replay, and never persisted or pinned,
- * so a faster hash may replace them without moving any stored digest.
+ * process, reference against replay, and never persisted, so a faster
+ * hash may replace them without moving any stored digest. Only
+ * FunctionalGolden pins them, to guard the functional simulator; a
+ * hash change re-pins its rows.
  */
 struct ArchFingerprint {
     /** func::GlobalMemory::digest() of the final memory image. */
@@ -95,7 +97,7 @@ class ArchOracle
     /**
      * Check a timing-simulation result against the trace: the retired
      * instruction count must equal the trace's dynamic instruction
-     * count (SimSanitizer's coverage bitmap guarantees the stronger
+     * count (SimSanitizer's per-instruction shadow guarantees the stronger
      * exactly-once property per instruction when --check is on).
      * Throws InvariantError on divergence.
      */

@@ -1,6 +1,7 @@
 #include "check/sanitizer.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -53,12 +54,10 @@ SimSanitizer::beginRun(const isa::Program &program,
                        std::uint32_t logPartitionBytes,
                        const vm::SystemMmu *mmu)
 {
-    program_ = &program;
-    trace_ = &trace;
     mmu_ = mmu;
     partitionBytes_ = logPartitionBytes;
 
-    sms_.assign(static_cast<std::size_t>(cfg_.numSms), SmShadow{});
+    sms_.assign(static_cast<std::size_t>(cfg_.numSms), SmShadow());
     for (SmShadow &s : sms_) {
         s.warps.assign(
             static_cast<std::size_t>(blocksPerSm * warpsPerBlock),
@@ -67,15 +66,28 @@ SimSanitizer::beginRun(const isa::Program &program,
                        SlotShadow{});
     }
 
-    coverage_.clear();
-    coverage_.resize(trace.blocks.size());
-    for (std::size_t b = 0; b < trace.blocks.size(); ++b) {
-        const trace::BlockTrace &bt = trace.blocks[b];
-        coverage_[b].resize(bt.warps.size());
-        for (std::size_t w = 0; w < bt.warps.size(); ++w)
-            coverage_[b][w].committed.assign(bt.warps[w].insts.size(),
-                                             0);
+    staticFlags_.resize(program.size());
+    for (std::size_t i = 0; i < program.size(); ++i)
+        staticFlags_[i] = program.at(static_cast<std::uint32_t>(i))
+                                  .isGlobalMem()
+                              ? kGlobalMem
+                              : 0;
+
+    traceWarps_.clear();
+    blockFirst_.clear();
+    std::size_t bytes = 0;
+    for (const trace::BlockTrace &bt : trace.blocks) {
+        blockFirst_.push_back(
+            static_cast<std::uint32_t>(traceWarps_.size()));
+        for (const trace::WarpTrace &wt : bt.warps) {
+            TracedWarp tw;
+            tw.first = bytes;
+            tw.insts = static_cast<std::uint32_t>(wt.insts.size());
+            traceWarps_.push_back(tw);
+            bytes += wt.insts.size();
+        }
     }
+    flags_.assign(bytes, 0);
 }
 
 void
@@ -105,12 +117,13 @@ SimSanitizer::warpAt(const obs::PipeEvent &e)
         .warps[static_cast<std::size_t>(e.warp)];
 }
 
-bool
-SimSanitizer::staticIsGlobalMem(std::uint32_t staticIdx) const
+std::uint8_t *
+SimSanitizer::instFlags(const WarpShadow &w, std::uint32_t traceIdx)
 {
-    if (!program_ || staticIdx == obs::PipeEvent::kNoIndex)
-        return false;
-    return program_->at(staticIdx).isGlobalMem();
+    if (w.blockId == kNoBlock)
+        return nullptr;
+    const TracedWarp &tw = traceWarps_[w.traceWarp];
+    return traceIdx < tw.insts ? &flags_[tw.first + traceIdx] : nullptr;
 }
 
 void
@@ -164,13 +177,26 @@ SimSanitizer::event(const obs::PipeEvent &e)
       }
       case K::Issued: {
         WarpShadow &w = warpAt(e);
-        auto [it, fresh] = w.inflight.emplace(e.traceIdx, InstShadow{});
-        if (!fresh)
+        if (w.blockId == kNoBlock)
+            fail("issue on a warp with no installed thread block",
+                 e.cycle, e.sm, e.warp);
+        const TracedWarp &tw = traceWarps_[w.traceWarp];
+        if (e.traceIdx >= tw.insts)
+            fail(strprintf("issue beyond the warp's trace (idx %u of "
+                           "%zu traced instructions)",
+                           e.traceIdx, static_cast<std::size_t>(tw.insts)),
+                 e.cycle, e.sm, e.warp);
+        std::uint8_t &f = flags_[tw.first + e.traceIdx];
+        if (f & kInFlight)
             fail(strprintf("instruction issued twice without an "
                            "intervening commit or squash (trace idx %u)",
                            e.traceIdx),
                  e.cycle, e.sm, e.warp);
-        it->second.isGlobalMem = staticIsGlobalMem(e.staticIdx);
+        const std::uint8_t mem = e.staticIdx < staticFlags_.size()
+                                     ? staticFlags_[e.staticIdx]
+                                     : 0;
+        f = static_cast<std::uint8_t>((f & kCommitted) | kInFlight | mem);
+        ++w.inFlight;
         break;
       }
       case K::SourcesHeld:
@@ -178,12 +204,11 @@ SimSanitizer::event(const obs::PipeEvent &e)
       case K::SourcesReleased: {
         if (!rqScheme_)
             break;
-        WarpShadow &w = warpAt(e);
-        auto it = w.inflight.find(e.traceIdx);
-        // A squashed instruction's release is exempt: Squashed erases
-        // the shadow entry before its SourcesReleased arrives.
-        if (it != w.inflight.end() && it->second.isGlobalMem &&
-            !it->second.tlbChecked)
+        const std::uint8_t *f = instFlags(warpAt(e), e.traceIdx);
+        // A squashed instruction's release is exempt: Squashed clears
+        // the in-flight bits before its SourcesReleased arrives.
+        if (f && (*f & (kInFlight | kGlobalMem | kTlbChecked)) ==
+                     (kInFlight | kGlobalMem))
             fail(strprintf(
                      "replay-queue hold violation: sources of "
                      "global-memory instruction (trace idx %u) released "
@@ -225,14 +250,13 @@ SimSanitizer::event(const obs::PipeEvent &e)
         break;
       }
       case K::TlbChecked: {
-        WarpShadow &w = warpAt(e);
-        auto it = w.inflight.find(e.traceIdx);
-        if (it == w.inflight.end())
+        std::uint8_t *f = instFlags(warpAt(e), e.traceIdx);
+        if (!f || !(*f & kInFlight))
             fail(strprintf("last TLB check for an instruction that is "
                            "not in flight (trace idx %u)",
                            e.traceIdx),
                  e.cycle, e.sm, e.warp);
-        it->second.tlbChecked = true;
+        *f |= kTlbChecked;
         break;
       }
       case K::Faulted: {
@@ -254,11 +278,14 @@ SimSanitizer::event(const obs::PipeEvent &e)
                  "stall-on-fault scheme",
                  e.cycle, e.sm, e.warp);
         WarpShadow &w = warpAt(e);
-        if (w.inflight.erase(e.traceIdx) == 0)
+        std::uint8_t *f = instFlags(w, e.traceIdx);
+        if (!f || !(*f & kInFlight))
             fail(strprintf("squash of an instruction that is not in "
                            "flight (trace idx %u)",
                            e.traceIdx),
                  e.cycle, e.sm, e.warp);
+        *f &= kCommitted;
+        --w.inFlight;
         break;
       }
       case K::Replayed:
@@ -278,27 +305,28 @@ SimSanitizer::event(const obs::PipeEvent &e)
         if (w.blockId == kNoBlock)
             fail("commit on a warp with no installed thread block",
                  e.cycle, e.sm, e.warp);
-        WarpCoverage &cov =
-            coverage_[w.blockId][static_cast<std::size_t>(
-                w.warpInBlock)];
-        if (e.traceIdx >= cov.committed.size())
+        TracedWarp &tw = traceWarps_[w.traceWarp];
+        if (e.traceIdx >= tw.insts)
             fail(strprintf("commit beyond the warp's trace (idx %u of "
                            "%zu traced instructions)",
-                           e.traceIdx, cov.committed.size()),
+                           e.traceIdx, static_cast<std::size_t>(tw.insts)),
                  e.cycle, e.sm, e.warp);
-        if (cov.committed[e.traceIdx])
+        std::uint8_t &f = flags_[tw.first + e.traceIdx];
+        if (f & kCommitted)
             fail(strprintf("exactly-once retirement violation: "
                            "instruction committed twice (block %u, "
                            "warp %d, trace idx %u)",
                            w.blockId, w.warpInBlock, e.traceIdx),
                  e.cycle, e.sm, e.warp);
-        cov.committed[e.traceIdx] = 1;
-        ++cov.count;
-        if (w.inflight.erase(e.traceIdx) == 0)
+        const bool issued = f & kInFlight;
+        f = kCommitted;
+        ++tw.retired;
+        if (!issued)
             fail(strprintf("commit of an instruction that never "
                            "issued (trace idx %u)",
                            e.traceIdx),
                  e.cycle, e.sm, e.warp);
+        --w.inFlight;
         break;
       }
       case K::ContextSaved: {
@@ -312,10 +340,10 @@ SimSanitizer::event(const obs::PipeEvent &e)
             if (w.fetchDisabled)
                 fail("context saved with an engaged fetch barrier",
                      e.cycle, e.sm, sl.firstWarp + j);
-            if (!w.inflight.empty())
-                fail(strprintf("context saved with %zu in-flight "
+            if (w.inFlight != 0)
+                fail(strprintf("context saved with %d in-flight "
                                "instructions",
-                               w.inflight.size()),
+                               w.inFlight),
                      e.cycle, e.sm, sl.firstWarp + j);
             w.blockId = kNoBlock;
             w.warpInBlock = -1;
@@ -346,31 +374,38 @@ SimSanitizer::onCycleStart(int sm, Cycle now)
     s.popped = false;
 }
 
+namespace {
+
+/** sm::EvKind names, in enumerator order. */
+constexpr const char *kEvNames[] = {
+    "SourceRelease", "LastCheck", "Commit",      "FaultReact",
+    "WarpResume",    "SaveReady", "SaveDone",    "RestoreDone",
+    "SlotRetry",     "TrapEnter",
+};
+static_assert(std::size(kEvNames) ==
+                  static_cast<std::size_t>(sm::EvKind::NumEvKinds),
+              "one name per sm::EvKind");
+
+} // namespace
+
 void
 SimSanitizer::onEventScheduled(int sm, Cycle cycle, std::uint64_t seq,
-                               int kind)
+                               sm::EvKind kind)
 {
-    static const char *const kEvNames[] = {
-        "SourceRelease", "LastCheck",   "Commit",    "FaultReact",
-        "WarpResume",    "SaveReady",   "SaveDone",  "RestoreDone",
-        "SlotRetry",     "TrapEnter",
-    };
     SmShadow &s = sms_[static_cast<std::size_t>(sm)];
     // Never-into-the-past, with one documented carve-out: a warp
     // joining a fault that has been outstanding for a while inherits
     // the *original* detect time from the TLB's pending-miss entry
     // (vm/tlb.cpp merge path), so its FaultReact legitimately targets
     // a past cycle — the event still fires on the very next tick.
-    if (cycle < s.now && kind != static_cast<int>(sm::EvKind::FaultReact)) {
-        const char *name =
-            kind >= 0 && kind < 10 ? kEvNames[kind] : "?";
+    if (cycle < s.now && kind != sm::EvKind::FaultReact)
         fail(strprintf("event-heap violation: %s event scheduled into the "
                        "past (target cycle %llu < current cycle %llu)",
-                       name, static_cast<unsigned long long>(cycle),
+                       kEvNames[static_cast<std::size_t>(kind)],
+                       static_cast<unsigned long long>(cycle),
                        static_cast<unsigned long long>(s.now)),
              s.now, sm, -1);
-    }
-    if (!s.liveSeqs.insert(seq).second)
+    if (!s.liveSeqs.insert(seq))
         fail(strprintf("event-heap violation: duplicate event sequence "
                        "number %llu",
                        static_cast<unsigned long long>(seq)),
@@ -392,7 +427,7 @@ SimSanitizer::onEventPopped(int sm, Cycle cycle, std::uint64_t seq)
                        static_cast<unsigned long long>(s.lastPopCycle),
                        static_cast<unsigned long long>(s.lastPopSeq)),
              s.now, sm, -1);
-    if (s.liveSeqs.erase(seq) == 0)
+    if (!s.liveSeqs.erase(seq))
         fail(strprintf("event-heap violation: popped an event that was "
                        "never scheduled (seq %llu)",
                        static_cast<unsigned long long>(seq)),
@@ -413,10 +448,11 @@ SimSanitizer::onBlockInstalled(int sm, int slot, std::uint32_t blockId,
     sl.numWarps = numWarps;
     for (int j = 0; j < numWarps; ++j) {
         WarpShadow &w = s.warps[static_cast<std::size_t>(firstWarp + j)];
-        // Only the block mapping updates: the warp-disable and
-        // in-flight shadows track the continuous event stream.
+        // Only the block mapping updates: the warp-disable shadow and
+        // the in-flight count track the continuous event stream.
         w.blockId = blockId;
         w.warpInBlock = j;
+        w.traceWarp = blockFirst_[blockId] + static_cast<std::uint32_t>(j);
     }
 }
 
@@ -502,26 +538,30 @@ SimSanitizer::checkDrained(const sm::PipelineState &st, Cycle now) const
 void
 SimSanitizer::finishRun(Cycle now)
 {
-    for (std::size_t b = 0; b < coverage_.size(); ++b)
-        for (std::size_t w = 0; w < coverage_[b].size(); ++w) {
-            const WarpCoverage &cov = coverage_[b][w];
-            if (cov.count != cov.committed.size())
+    for (std::size_t b = 0; b < blockFirst_.size(); ++b) {
+        const std::size_t end = b + 1 < blockFirst_.size()
+                                    ? blockFirst_[b + 1]
+                                    : traceWarps_.size();
+        for (std::size_t w = 0; w < end - blockFirst_[b]; ++w) {
+            const TracedWarp &tw = traceWarps_[blockFirst_[b] + w];
+            if (tw.retired != tw.insts)
                 fail(strprintf(
                          "architectural coverage violation: block %zu "
                          "warp %zu retired %llu of %zu traced "
                          "instructions",
                          b, w,
-                         static_cast<unsigned long long>(cov.count),
-                         cov.committed.size()),
+                         static_cast<unsigned long long>(tw.retired),
+                         static_cast<std::size_t>(tw.insts)),
                      now, -1, -1);
         }
+    }
     for (std::size_t i = 0; i < sms_.size(); ++i) {
         const SmShadow &s = sms_[i];
         for (std::size_t w = 0; w < s.warps.size(); ++w) {
-            if (!s.warps[w].inflight.empty())
-                fail(strprintf("shadow leak at drain: %zu instructions "
+            if (s.warps[w].inFlight != 0)
+                fail(strprintf("shadow leak at drain: %d instructions "
                                "issued but never retired or squashed",
-                               s.warps[w].inflight.size()),
+                               s.warps[w].inFlight),
                      now, static_cast<int>(i), static_cast<int>(w));
             if (s.warps[w].fetchDisabled)
                 fail("shadow leak at drain: fetch barrier engaged at "

@@ -28,11 +28,10 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "check/hooks.hpp"
+#include "common/flat_map.hpp"
 #include "common/types.hpp"
 #include "obs/observer.hpp"
 
@@ -51,6 +50,7 @@ class SystemMmu;
 }
 namespace gex::sm {
 struct PipelineState;
+enum class EvKind : std::uint8_t;
 }
 
 namespace gex::check {
@@ -86,7 +86,7 @@ class SimSanitizer : public obs::PipelineObserver
     void onCycleStart(int sm, Cycle now);
     /** An event entered the SM's heap (throws). */
     void onEventScheduled(int sm, Cycle cycle, std::uint64_t seq,
-                          int kind);
+                          sm::EvKind kind);
     /** An event left the SM's heap (throws). */
     void onEventPopped(int sm, Cycle cycle, std::uint64_t seq);
     /** A thread block was installed into a slot. */
@@ -116,9 +116,16 @@ class SimSanitizer : public obs::PipelineObserver
                            int warp) const;
 
   private:
-    struct InstShadow {
-        bool tlbChecked = false;
-        bool isGlobalMem = false;
+    /**
+     * Bits of one traced instruction's shadow byte (flags_). The
+     * in-flight bits describe the current issue: Squashed and
+     * Committed clear all three, a re-issue sets them afresh.
+     */
+    enum InstFlag : std::uint8_t {
+        kCommitted = 1,  ///< retired (exactly-once coverage)
+        kInFlight = 2,   ///< issued, not yet committed or squashed
+        kTlbChecked = 4, ///< its last TLB check happened this issue
+        kGlobalMem = 8,  ///< a global-memory instruction (RQ hold)
     };
 
     static constexpr std::uint32_t kNoBlock = UINT32_MAX;
@@ -129,7 +136,21 @@ class SimSanitizer : public obs::PipelineObserver
         std::uint32_t allowFetchIdx = obs::PipeEvent::kNoIndex;
         std::uint32_t blockId = kNoBlock;
         int warpInBlock = -1;
-        std::unordered_map<std::uint32_t, InstShadow> inflight;
+        /** Index of the mapped (block, warp) in traceWarps_. */
+        std::uint32_t traceWarp = 0;
+        /**
+         * Instructions this warp issued minus those it committed or
+         * squashed. Signed: a block mapped onto two warps at once can
+         * retire through the other one, which then goes negative.
+         */
+        std::int32_t inFlight = 0;
+    };
+
+    /** One traced warp's slice of flags_. */
+    struct TracedWarp {
+        std::size_t first = 0;  ///< its first byte in flags_
+        std::uint32_t insts = 0;
+        std::uint32_t retired = 0;
     };
 
     struct SlotShadow {
@@ -145,19 +166,23 @@ class SimSanitizer : public obs::PipelineObserver
         bool popped = false;
         Cycle lastPopCycle = 0;
         std::uint64_t lastPopSeq = 0;
-        std::unordered_set<std::uint64_t> liveSeqs;
+        /**
+         * Seqs scheduled and not yet popped. It holds exactly what the
+         * SM's event heap holds, so it grows to the heap's peak (tens
+         * of events), never with the length of the run.
+         */
+        FlatMap<std::uint8_t> liveSeqs;
         std::vector<WarpShadow> warps;
         std::vector<SlotShadow> slots;
     };
 
-    /** Exactly-once commit bitmap of one warp's trace. */
-    struct WarpCoverage {
-        std::vector<std::uint8_t> committed;
-        std::uint64_t count = 0;
-    };
-
     WarpShadow &warpAt(const obs::PipeEvent &e);
-    bool staticIsGlobalMem(std::uint32_t staticIdx) const;
+    /**
+     * Shadow byte of @p e's traced instruction on its warp's mapped
+     * (block, warp), or nullptr when no block is mapped or the index
+     * lies beyond the trace.
+     */
+    std::uint8_t *instFlags(const WarpShadow &w, std::uint32_t traceIdx);
 
     const gpu::GpuConfig &cfg_;
     obs::PipelineObserver *next_;
@@ -169,14 +194,20 @@ class SimSanitizer : public obs::PipelineObserver
     bool rqScheme_ = false;
     bool preemptible_ = false;
 
-    const isa::Program *program_ = nullptr;
-    const trace::KernelTrace *trace_ = nullptr;
     const vm::SystemMmu *mmu_ = nullptr;
     std::uint32_t partitionBytes_ = 0;
 
     std::vector<SmShadow> sms_;
-    /** coverage_[blockId][warpInBlock] over the whole grid. */
-    std::vector<std::vector<WarpCoverage>> coverage_;
+    /** kGlobalMem or 0 per static instruction of the program. */
+    std::vector<std::uint8_t> staticFlags_;
+    /**
+     * One InstFlag byte per traced instruction of the whole grid,
+     * warp after warp in (block, warp) order; traceWarps_ slices it,
+     * and blockFirst_[b] is block b's first entry there.
+     */
+    std::vector<std::uint8_t> flags_;
+    std::vector<TracedWarp> traceWarps_;
+    std::vector<std::uint32_t> blockFirst_;
 };
 
 } // namespace gex::check

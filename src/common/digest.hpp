@@ -11,7 +11,9 @@
  *    trace digest and the functional memory image digest). Those are
  *    compared inside one process, reference against replay, and are
  *    never stored, so this hash is free to trade FNV-1a's byte-serial
- *    chain for speed.
+ *    chain for speed. The one pin on them, FunctionalGolden, guards
+ *    the functional simulator; a change here re-pins its rows (its
+ *    failures print them) and moves nothing persisted.
  *
  * Both take explicit values, never a memcpy of a struct (whose padding
  * is unspecified); Fnv1a serializes them little-endian byte by byte.

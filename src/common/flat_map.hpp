@@ -90,18 +90,21 @@ class FlatMap
     T &
     operator[](Addr key)
     {
-        GEX_ASSERT(key != kEmptyKey, "FlatMap: reserved key");
-        std::size_t i = probe(key);
-        if (slots_[i].key == key)
-            return slots_[i].value;
-        if (size_ + 1 > limit_) {
-            rehash(slots_.size() * 2);
-            i = probe(key);
-        }
-        slots_[i].key = key;
-        slots_[i].value = T{};
-        ++size_;
-        return slots_[i].value;
+        bool fresh;
+        return slotFor(key, fresh).value;
+    }
+
+    /**
+     * Insert @p key with a default-constructed value unless it is
+     * already present; returns whether it was inserted. One probe,
+     * where find() then operator[] would take two.
+     */
+    bool
+    insert(Addr key)
+    {
+        bool fresh;
+        slotFor(key, fresh);
+        return fresh;
     }
 
     /**
@@ -181,6 +184,25 @@ class FlatMap
     {
         return static_cast<std::size_t>(
             (key * 0x9E3779B97F4A7C15ull) >> shift_);
+    }
+
+    /** The slot of @p key, filled with a default value if absent. */
+    Slot &
+    slotFor(Addr key, bool &fresh)
+    {
+        GEX_ASSERT(key != kEmptyKey, "FlatMap: reserved key");
+        std::size_t i = probe(key);
+        fresh = slots_[i].key != key;
+        if (!fresh)
+            return slots_[i];
+        if (size_ + 1 > limit_) {
+            rehash(slots_.size() * 2);
+            i = probe(key);
+        }
+        slots_[i].key = key;
+        slots_[i].value = T{};
+        ++size_;
+        return slots_[i];
     }
 
     /** First slot holding @p key, or the empty slot ending its cluster. */

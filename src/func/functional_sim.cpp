@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -35,6 +36,65 @@ asBits(double d)
     return bits;
 }
 
+/** The register row RZ reads. */
+constexpr std::uint64_t kZeroRow[kWarpSize] = {};
+
+/**
+ * The lane loop every kernel runs: @p f(lane) for each lane of @p g,
+ * in ascending order. A full warp walks lanes 0..31 densely; any
+ * other mask walks its set bits. Either way it is the same body.
+ */
+template <typename F>
+inline void
+forLanes(WarpMask g, F &&f)
+{
+    if (g == kFullMask) {
+        for (int l = 0; l < kWarpSize; ++l)
+            f(l);
+    } else {
+        for (WarpMask m = g; m != 0; m &= m - 1)
+            f(std::countr_zero(m));
+    }
+}
+
+/** The lanes of @p g for which @p f(lane) holds. */
+template <typename F>
+inline WarpMask
+laneMask(WarpMask g, F &&f)
+{
+    WarpMask r = 0;
+    forLanes(g, [&](int l) { r |= static_cast<WarpMask>(f(l)) << l; });
+    return r;
+}
+
+/** SETP's comparison over the lanes of @p g, operands read by @p ld. */
+template <typename Load>
+WarpMask
+compareLanes(WarpMask g, isa::Cmp c, const std::uint64_t *a,
+             const std::uint64_t *b, Load ld)
+{
+    switch (c) {
+      case isa::Cmp::EQ:
+        return laneMask(g, [&](int l) { return ld(a[l]) == ld(b[l]); });
+      case isa::Cmp::NE:
+        return laneMask(g, [&](int l) { return ld(a[l]) != ld(b[l]); });
+      case isa::Cmp::LT:
+        return laneMask(g, [&](int l) { return ld(a[l]) < ld(b[l]); });
+      case isa::Cmp::LE:
+        return laneMask(g, [&](int l) { return ld(a[l]) <= ld(b[l]); });
+      case isa::Cmp::GT:
+        return laneMask(g, [&](int l) { return ld(a[l]) > ld(b[l]); });
+      default:
+        return laneMask(g, [&](int l) { return ld(a[l]) >= ld(b[l]); });
+    }
+}
+
+std::int64_t
+asInt(std::uint64_t v)
+{
+    return static_cast<std::int64_t>(v);
+}
+
 } // namespace
 
 /** Per-warp execution state. */
@@ -47,50 +107,19 @@ struct FunctionalSim::WarpExec {
     bool atBarrier = false;
     bool done = false;
     std::uint64_t instCount = 0;
+    /** Registers as rows of kWarpSize lanes: regs[r * kWarpSize + lane]. */
+    std::uint64_t *regs = nullptr;
+    /** One lane mask per predicate register; preds[PT] is all lanes. */
+    WarpMask preds[isa::kNumPreds + 1] = {};
 };
 
 /** Per-block execution state. */
 struct FunctionalSim::BlockExec {
     std::uint32_t blockId = 0;
     std::uint32_t numThreads = 0;
-    int regsPerThread = 0;
-    std::vector<std::uint64_t> regs;   // [thread][reg]
-    std::vector<std::uint8_t> preds;   // [thread] bitmask of P0..P6
+    std::vector<std::uint64_t> regs;   // [warp][reg][lane]
     std::vector<std::uint8_t> shared;  // shared memory bytes
     std::vector<WarpExec> warps;
-
-    std::uint64_t &
-    reg(std::uint32_t thread, isa::Reg r)
-    {
-        return regs[thread * static_cast<std::uint32_t>(regsPerThread) + r];
-    }
-
-    std::uint64_t
-    readReg(std::uint32_t thread, isa::Reg r) const
-    {
-        if (r == kRegZero)
-            return 0;
-        return regs[thread * static_cast<std::uint32_t>(regsPerThread) + r];
-    }
-
-    bool
-    readPred(std::uint32_t thread, isa::PredReg p) const
-    {
-        if (p == kPredTrue)
-            return true;
-        return (preds[thread] >> p) & 1;
-    }
-
-    void
-    writePred(std::uint32_t thread, isa::PredReg p, bool v)
-    {
-        if (p == kPredTrue)
-            return;
-        if (v)
-            preds[thread] |= static_cast<std::uint8_t>(1u << p);
-        else
-            preds[thread] &= static_cast<std::uint8_t>(~(1u << p));
-    }
 
     std::uint64_t
     readShared64(std::uint64_t off) const
@@ -120,19 +149,14 @@ FunctionalSim::run(const Kernel &kernel)
     trace::KernelTrace kt;
     std::uint32_t nblocks = kernel.numBlocks();
     kt.blocks.resize(nblocks);
+    memInsts_ = 0;
+    memRequests_ = 0;
     for (std::uint32_t b = 0; b < nblocks; ++b) {
         kt.blocks[b].blockId = b;
         runBlock(kernel, b, kt.blocks[b]);
-        for (auto &w : kt.blocks[b].warps) {
-            for (auto &ti : w.insts) {
-                const Instruction &in = kernel.program.at(ti.staticIdx);
-                if (in.isGlobalMem()) {
-                    ++kt.memInsts;
-                    kt.memRequests += ti.numLines;
-                }
-            }
-        }
     }
+    kt.memInsts = memInsts_;
+    kt.memRequests = memRequests_;
     kt.stats.set("func.dynamic_warp_insts",
                  static_cast<double>(kt.dynamicInsts()));
     kt.stats.set("func.mem_insts", static_cast<double>(kt.memInsts));
@@ -150,14 +174,13 @@ FunctionalSim::runBlock(const Kernel &kernel, std::uint32_t block_id,
     BlockExec blk;
     blk.blockId = block_id;
     blk.numThreads = kernel.threadsPerBlock();
-    blk.regsPerThread = prog.regsPerThread();
-    blk.regs.assign(static_cast<size_t>(blk.numThreads) *
-                        static_cast<size_t>(blk.regsPerThread),
-                    0);
-    blk.preds.assign(blk.numThreads, 0);
     blk.shared.assign(prog.sharedBytes(), 0);
 
     std::uint32_t nwarps = kernel.warpsPerBlock();
+    const std::size_t warpRegs = static_cast<std::size_t>(
+                                     prog.regsPerThread()) *
+                                 kWarpSize;
+    blk.regs.assign(nwarps * warpRegs, 0);
     blk.warps.resize(nwarps);
     out.blockId = block_id;
     out.warps.resize(nwarps);
@@ -165,6 +188,8 @@ FunctionalSim::runBlock(const Kernel &kernel, std::uint32_t block_id,
         WarpExec &we = blk.warps[w];
         we.warpId = w;
         we.laneBase = w * kWarpSize;
+        we.regs = blk.regs.data() + w * warpRegs;
+        we.preds[kPredTrue] = kFullMask;
         std::uint32_t lanes =
             std::min<std::uint32_t>(kWarpSize, blk.numThreads - we.laneBase);
         we.launchMask = lanes == kWarpSize
@@ -214,6 +239,24 @@ FunctionalSim::runBlock(const Kernel &kernel, std::uint32_t block_id,
     }
 }
 
+void
+FunctionalSim::recordLines(const Addr *addrs, std::size_t n,
+                           trace::TraceInst &ti, trace::WarpTrace &out)
+{
+    // Coalesce: one request per unique cache line (paper Fig 5).
+    Addr lines[kWarpSize];
+    const std::size_t k = sm::coalesceLines(addrs, n, lines);
+    // One push_back per line, not a range insert: the range insert's
+    // other growth steps left glibc's heap fragmenting through later
+    // timing runs (perfbench resident peak RSS 44.6 -> 52 MB over 16 s
+    // on a 4-CPU x86-64 VM).
+    for (std::size_t i = 0; i < k; ++i)
+        out.linePool.push_back(lines[i]);
+    ti.numLines = static_cast<std::uint16_t>(k);
+    ++memInsts_;
+    memRequests_ += k;
+}
+
 bool
 FunctionalSim::stepWarp(const Kernel &kernel, BlockExec &blk, WarpExec &we,
                         trace::WarpTrace &out)
@@ -238,19 +281,8 @@ FunctionalSim::stepWarp(const Kernel &kernel, BlockExec &blk, WarpExec &we,
     const Instruction &in = prog.at(pc);
 
     // Guard predicate: which of the active lanes actually execute.
-    WarpMask g = 0;
-    if (in.pred == kPredTrue && !in.predNeg) {
-        g = mask;
-    } else {
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-            if (!(mask & (1u << lane)))
-                continue;
-            bool p = blk.readPred(we.laneBase + static_cast<std::uint32_t>(lane),
-                                  in.pred);
-            if (p != in.predNeg)
-                g |= 1u << lane;
-        }
-    }
+    const WarpMask guard = we.preds[in.pred];
+    const WarpMask g = mask & (in.predNeg ? ~guard : guard);
 
     // Trace record (line addresses filled below for global-memory ops).
     trace::TraceInst ti;
@@ -260,27 +292,86 @@ FunctionalSim::stepWarp(const Kernel &kernel, BlockExec &blk, WarpExec &we,
     ti.lineOff = static_cast<std::uint32_t>(out.linePool.size());
     ti.numLines = 0;
 
-    auto add_lines_for = [&](const std::vector<Addr> &addrs) {
-        // Coalesce: one request per unique cache line (paper Fig 5).
-        sm::coalesceInto(addrs.data(), addrs.size(), lineScratch_);
-        for (Addr l : lineScratch_)
-            out.linePool.push_back(l);
-        ti.numLines = static_cast<std::uint16_t>(lineScratch_.size());
+    // Operand rows. RZ reads the zero row and writes the sink row; the
+    // immediate form reads a row holding the immediate in every lane.
+    auto src = [&](isa::Reg r) -> const std::uint64_t * {
+        return r == kRegZero ? kZeroRow
+                             : we.regs + static_cast<std::size_t>(r) *
+                                             kWarpSize;
+    };
+    std::uint64_t *d =
+        in.dst == kRegZero
+            ? sinkRow_
+            : we.regs + static_cast<std::size_t>(in.dst) * kWarpSize;
+    const std::uint64_t *a = src(in.srcs[0]);
+    const std::uint64_t *b = src(in.srcs[1]);
+    if (in.useImm) {
+        std::fill_n(immRow_, kWarpSize, static_cast<std::uint64_t>(in.imm));
+        b = immRow_;
+    }
+
+    // The lane kernels: d = op(a, b[, c]) over the lanes of g.
+    auto map1 = [&](auto op) {
+        forLanes(g, [&](int l) { d[l] = op(a[l]); });
+    };
+    auto map2 = [&](auto op) {
+        forLanes(g, [&](int l) { d[l] = op(a[l], b[l]); });
+    };
+    // The three-source forms read srcs[1] even in the immediate form.
+    auto map3 = [&](auto op) {
+        const std::uint64_t *s1 = src(in.srcs[1]);
+        const std::uint64_t *c = src(in.srcs[2]);
+        forLanes(g, [&](int l) { d[l] = op(a[l], s1[l], c[l]); });
+    };
+    auto fp2 = [&](auto op) {
+        map2([&](std::uint64_t x, std::uint64_t y) {
+            return asBits(op(asF64(x), asF64(y)));
+        });
+    };
+    // Special-function unit: @p faults(x) flags an arithmetic exception.
+    auto sfu = [&](auto faults, auto op) {
+        bool fault = false;
+        forLanes(g, [&](int l) {
+            const double x = asF64(a[l]);
+            fault |= faults(x);
+            d[l] = asBits(op(x));
+        });
+        ti.arithFault = fault;
+    };
+    auto setPred = [&](isa::PredReg p, WarpMask r) {
+        if (p != kPredTrue)
+            we.preds[p] = (we.preds[p] & ~g) | (r & g);
+    };
+    // Active lanes' effective addresses (a + imm), in lane order.
+    Addr addrs[kWarpSize];
+    std::uint64_t vals[kWarpSize];
+    auto laneAddrs = [&]() {
+        std::size_t n = 0;
+        forLanes(g, [&](int l) {
+            addrs[n++] = a[l] + static_cast<std::uint64_t>(in.imm);
+        });
+        return n;
+    };
+    auto gather = [&](const std::uint64_t *row) {
+        std::size_t i = 0;
+        forLanes(g, [&](int l) { vals[i++] = row[l]; });
+    };
+    auto scatter = [&](const std::uint64_t *compact) {
+        std::size_t i = 0;
+        forLanes(g, [&](int l) { d[l] = compact[i++]; });
+    };
+    // Global atomics: d = old word, word = next(old, i) with the
+    // lane's data in vals[i], lane after lane.
+    using NewWord = std::optional<std::uint64_t>;
+    auto atomic = [&](auto next) {
+        const std::size_t n = laneAddrs();
+        gather(src(in.srcs[1]));
+        std::uint64_t olds[kWarpSize];
+        mem_.update64s(addrs, n, olds, next);
+        scatter(olds);
+        recordLines(addrs, n, ti, out);
     };
 
-    auto lane_reg = [&](int lane, isa::Reg r) {
-        return blk.readReg(we.laneBase + static_cast<std::uint32_t>(lane), r);
-    };
-    auto set_lane_reg = [&](int lane, isa::Reg r, std::uint64_t v) {
-        if (r != kRegZero)
-            blk.reg(we.laneBase + static_cast<std::uint32_t>(lane), r) = v;
-    };
-    auto src_b = [&](int lane) -> std::uint64_t {
-        return in.useImm ? static_cast<std::uint64_t>(in.imm)
-                         : lane_reg(lane, in.srcs[1]);
-    };
-
-    bool is_control = in.isControl();
     std::uint32_t next_pc = pc + 1;
     bool stack_handled = false;
 
@@ -328,386 +419,284 @@ FunctionalSim::stepWarp(const Kernel &kernel, BlockExec &blk, WarpExec &we,
             stack_handled = true; // TOS changed; pc already correct
         break;
       }
-      case Opcode::MOVI:
-        for (int lane = 0; lane < kWarpSize; ++lane)
-            if (g & (1u << lane))
-                set_lane_reg(lane, in.dst,
-                             static_cast<std::uint64_t>(in.imm));
+      case Opcode::MOVI: {
+        const auto v = static_cast<std::uint64_t>(in.imm);
+        forLanes(g, [&](int l) { d[l] = v; });
         break;
+      }
       case Opcode::MOV:
-        for (int lane = 0; lane < kWarpSize; ++lane)
-            if (g & (1u << lane))
-                set_lane_reg(lane, in.dst, lane_reg(lane, in.srcs[0]));
+        map1([](std::uint64_t x) { return x; });
         break;
       case Opcode::S2R: {
-        auto sr = static_cast<SpecialReg>(in.imm);
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-            if (!(g & (1u << lane)))
-                continue;
-            std::uint32_t tid = we.laneBase + static_cast<std::uint32_t>(lane);
-            std::uint32_t bx = kernel.block.x, by = kernel.block.y;
-            std::uint32_t tx = tid % bx;
-            std::uint32_t ty = (tid / bx) % by;
-            std::uint32_t tz = tid / (bx * by);
-            std::uint32_t gx = kernel.grid.x, gy = kernel.grid.y;
-            std::uint32_t cx = blk.blockId % gx;
-            std::uint32_t cy = (blk.blockId / gx) % gy;
-            std::uint32_t cz = blk.blockId / (gx * gy);
-            std::uint64_t v = 0;
-            switch (sr) {
-              case SpecialReg::TidX: v = tx; break;
-              case SpecialReg::TidY: v = ty; break;
-              case SpecialReg::TidZ: v = tz; break;
-              case SpecialReg::NTidX: v = kernel.block.x; break;
-              case SpecialReg::NTidY: v = kernel.block.y; break;
-              case SpecialReg::NTidZ: v = kernel.block.z; break;
-              case SpecialReg::CtaIdX: v = cx; break;
-              case SpecialReg::CtaIdY: v = cy; break;
-              case SpecialReg::CtaIdZ: v = cz; break;
-              case SpecialReg::NCtaIdX: v = kernel.grid.x; break;
-              case SpecialReg::NCtaIdY: v = kernel.grid.y; break;
-              case SpecialReg::NCtaIdZ: v = kernel.grid.z; break;
-              case SpecialReg::LaneId: v = static_cast<std::uint64_t>(lane); break;
-              case SpecialReg::WarpId: v = we.warpId; break;
-              case SpecialReg::GlobalTid:
-                v = static_cast<std::uint64_t>(blk.blockId) *
-                        kernel.threadsPerBlock() + tid;
-                break;
-              default:
-                panic("bad special register %d", static_cast<int>(sr));
-            }
-            set_lane_reg(lane, in.dst, v);
+        const std::uint32_t bx = kernel.block.x, by = kernel.block.y;
+        const std::uint32_t gx = kernel.grid.x, gy = kernel.grid.y;
+        const std::uint32_t base = we.laneBase;
+        auto put = [&](auto f) {
+            forLanes(g, [&](int l) {
+                d[l] = f(base + static_cast<std::uint32_t>(l),
+                         static_cast<std::uint64_t>(l));
+            });
+        };
+        auto uniform = [&](std::uint64_t v) {
+            forLanes(g, [&](int l) { d[l] = v; });
+        };
+        switch (static_cast<SpecialReg>(in.imm)) {
+          case SpecialReg::TidX:
+            put([&](std::uint32_t t, std::uint64_t) { return t % bx; });
+            break;
+          case SpecialReg::TidY:
+            put([&](std::uint32_t t, std::uint64_t) {
+                return (t / bx) % by;
+            });
+            break;
+          case SpecialReg::TidZ:
+            put([&](std::uint32_t t, std::uint64_t) {
+                return t / (bx * by);
+            });
+            break;
+          case SpecialReg::NTidX: uniform(kernel.block.x); break;
+          case SpecialReg::NTidY: uniform(kernel.block.y); break;
+          case SpecialReg::NTidZ: uniform(kernel.block.z); break;
+          case SpecialReg::CtaIdX: uniform(blk.blockId % gx); break;
+          case SpecialReg::CtaIdY: uniform((blk.blockId / gx) % gy); break;
+          case SpecialReg::CtaIdZ: uniform(blk.blockId / (gx * gy)); break;
+          case SpecialReg::NCtaIdX: uniform(kernel.grid.x); break;
+          case SpecialReg::NCtaIdY: uniform(kernel.grid.y); break;
+          case SpecialReg::NCtaIdZ: uniform(kernel.grid.z); break;
+          case SpecialReg::LaneId:
+            put([](std::uint32_t, std::uint64_t lane) { return lane; });
+            break;
+          case SpecialReg::WarpId: uniform(we.warpId); break;
+          case SpecialReg::GlobalTid: {
+            const std::uint64_t first =
+                static_cast<std::uint64_t>(blk.blockId) *
+                kernel.threadsPerBlock();
+            put([&](std::uint32_t t, std::uint64_t) { return first + t; });
+            break;
+          }
+          default:
+            panic("bad special register %d", static_cast<int>(in.imm));
         }
         break;
       }
-      case Opcode::LDPARAM:
+      case Opcode::LDPARAM: {
         GEX_ASSERT(in.imm >= 0 &&
                    static_cast<size_t>(in.imm) < kernel.params.size(),
                    "LDPARAM index out of range");
-        for (int lane = 0; lane < kWarpSize; ++lane)
-            if (g & (1u << lane))
-                set_lane_reg(lane, in.dst,
-                             kernel.params[static_cast<size_t>(in.imm)]);
-        break;
-      case Opcode::IADD: case Opcode::ISUB: case Opcode::IMUL:
-      case Opcode::IMIN: case Opcode::IMAX: case Opcode::AND:
-      case Opcode::OR: case Opcode::XOR: case Opcode::SHL:
-      case Opcode::SHR: {
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-            if (!(g & (1u << lane)))
-                continue;
-            auto a = static_cast<std::int64_t>(lane_reg(lane, in.srcs[0]));
-            auto b = static_cast<std::int64_t>(src_b(lane));
-            std::int64_t r = 0;
-            switch (in.op) {
-              // Integer add/sub/mul wrap (two's complement), as on the
-              // hardware; compute unsigned to keep the wrap defined.
-              case Opcode::IADD:
-                r = static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
-                                              static_cast<std::uint64_t>(b));
-                break;
-              case Opcode::ISUB:
-                r = static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
-                                              static_cast<std::uint64_t>(b));
-                break;
-              case Opcode::IMUL:
-                r = static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
-                                              static_cast<std::uint64_t>(b));
-                break;
-              case Opcode::IMIN: r = std::min(a, b); break;
-              case Opcode::IMAX: r = std::max(a, b); break;
-              case Opcode::AND: r = a & b; break;
-              case Opcode::OR: r = a | b; break;
-              case Opcode::XOR: r = a ^ b; break;
-              case Opcode::SHL:
-                r = static_cast<std::int64_t>(
-                    static_cast<std::uint64_t>(a) << (b & 63));
-                break;
-              case Opcode::SHR:
-                r = static_cast<std::int64_t>(
-                    static_cast<std::uint64_t>(a) >> (b & 63));
-                break;
-              default: break;
-            }
-            set_lane_reg(lane, in.dst, static_cast<std::uint64_t>(r));
-        }
+        const std::uint64_t v = kernel.params[static_cast<size_t>(in.imm)];
+        forLanes(g, [&](int l) { d[l] = v; });
         break;
       }
-      case Opcode::NOT:
-        for (int lane = 0; lane < kWarpSize; ++lane)
-            if (g & (1u << lane))
-                set_lane_reg(lane, in.dst, ~lane_reg(lane, in.srcs[0]));
+      // Integer add/sub/mul/mad wrap (two's complement), as on the
+      // hardware; they compute unsigned to keep the wrap defined.
+      case Opcode::IADD:
+        map2([](std::uint64_t x, std::uint64_t y) { return x + y; });
+        break;
+      case Opcode::ISUB:
+        map2([](std::uint64_t x, std::uint64_t y) { return x - y; });
+        break;
+      case Opcode::IMUL:
+        map2([](std::uint64_t x, std::uint64_t y) { return x * y; });
         break;
       case Opcode::IMAD:
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-            if (!(g & (1u << lane)))
-                continue;
-            auto a = static_cast<std::int64_t>(lane_reg(lane, in.srcs[0]));
-            auto b = static_cast<std::int64_t>(lane_reg(lane, in.srcs[1]));
-            auto c = static_cast<std::int64_t>(lane_reg(lane, in.srcs[2]));
-            set_lane_reg(lane, in.dst,
-                         static_cast<std::uint64_t>(a * b + c));
-        }
+        map3([](std::uint64_t x, std::uint64_t y, std::uint64_t z) {
+            return x * y + z;
+        });
         break;
-      case Opcode::FADD: case Opcode::FSUB: case Opcode::FMUL:
-      case Opcode::FMIN: case Opcode::FMAX: {
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-            if (!(g & (1u << lane)))
-                continue;
-            double a = asF64(lane_reg(lane, in.srcs[0]));
-            double b = asF64(src_b(lane));
-            double r = 0;
-            switch (in.op) {
-              case Opcode::FADD: r = a + b; break;
-              case Opcode::FSUB: r = a - b; break;
-              case Opcode::FMUL: r = a * b; break;
-              case Opcode::FMIN: r = std::fmin(a, b); break;
-              case Opcode::FMAX: r = std::fmax(a, b); break;
-              default: break;
-            }
-            set_lane_reg(lane, in.dst, asBits(r));
-        }
+      case Opcode::IMIN:
+        map2([](std::uint64_t x, std::uint64_t y) {
+            return asInt(x) < asInt(y) ? x : y;
+        });
         break;
-      }
+      case Opcode::IMAX:
+        map2([](std::uint64_t x, std::uint64_t y) {
+            return asInt(x) < asInt(y) ? y : x;
+        });
+        break;
+      case Opcode::AND:
+        map2([](std::uint64_t x, std::uint64_t y) { return x & y; });
+        break;
+      case Opcode::OR:
+        map2([](std::uint64_t x, std::uint64_t y) { return x | y; });
+        break;
+      case Opcode::XOR:
+        map2([](std::uint64_t x, std::uint64_t y) { return x ^ y; });
+        break;
+      case Opcode::SHL:
+        map2([](std::uint64_t x, std::uint64_t y) { return x << (y & 63); });
+        break;
+      case Opcode::SHR:
+        map2([](std::uint64_t x, std::uint64_t y) { return x >> (y & 63); });
+        break;
+      case Opcode::NOT:
+        map1([](std::uint64_t x) { return ~x; });
+        break;
+      case Opcode::FADD:
+        fp2([](double x, double y) { return x + y; });
+        break;
+      case Opcode::FSUB:
+        fp2([](double x, double y) { return x - y; });
+        break;
+      case Opcode::FMUL:
+        fp2([](double x, double y) { return x * y; });
+        break;
+      case Opcode::FMIN:
+        fp2([](double x, double y) { return std::fmin(x, y); });
+        break;
+      case Opcode::FMAX:
+        fp2([](double x, double y) { return std::fmax(x, y); });
+        break;
       case Opcode::FFMA:
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-            if (!(g & (1u << lane)))
-                continue;
-            double a = asF64(lane_reg(lane, in.srcs[0]));
-            double b = asF64(lane_reg(lane, in.srcs[1]));
-            double c = asF64(lane_reg(lane, in.srcs[2]));
-            set_lane_reg(lane, in.dst, asBits(std::fma(a, b, c)));
-        }
+        map3([](std::uint64_t x, std::uint64_t y, std::uint64_t z) {
+            return asBits(std::fma(asF64(x), asF64(y), asF64(z)));
+        });
         break;
-      case Opcode::FRCP: case Opcode::FRSQ: case Opcode::FSQRT:
-      case Opcode::FSIN: case Opcode::FCOS: case Opcode::FEXP2:
-      case Opcode::FLOG2: {
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-            if (!(g & (1u << lane)))
-                continue;
-            double a = asF64(lane_reg(lane, in.srcs[0]));
-            double r = 0;
-            switch (in.op) {
-              case Opcode::FRCP:
-                if (a == 0.0)
-                    ti.arithFault = true;
-                r = 1.0 / a;
-                break;
-              case Opcode::FRSQ:
-                if (a <= 0.0)
-                    ti.arithFault = true;
-                r = 1.0 / std::sqrt(a);
-                break;
-              case Opcode::FSQRT:
-                if (a < 0.0)
-                    ti.arithFault = true;
-                r = std::sqrt(a);
-                break;
-              case Opcode::FSIN: r = std::sin(a); break;
-              case Opcode::FCOS: r = std::cos(a); break;
-              case Opcode::FEXP2: r = std::exp2(a); break;
-              case Opcode::FLOG2:
-                if (a <= 0.0)
-                    ti.arithFault = true;
-                r = std::log2(a);
-                break;
-              default: break;
-            }
-            set_lane_reg(lane, in.dst, asBits(r));
-        }
+      case Opcode::FRCP:
+        sfu([](double x) { return x == 0.0; },
+            [](double x) { return 1.0 / x; });
+        break;
+      case Opcode::FRSQ:
+        sfu([](double x) { return x <= 0.0; },
+            [](double x) { return 1.0 / std::sqrt(x); });
+        break;
+      case Opcode::FSQRT:
+        sfu([](double x) { return x < 0.0; },
+            [](double x) { return std::sqrt(x); });
+        break;
+      case Opcode::FSIN:
+        sfu([](double) { return false; },
+            [](double x) { return std::sin(x); });
+        break;
+      case Opcode::FCOS:
+        sfu([](double) { return false; },
+            [](double x) { return std::cos(x); });
+        break;
+      case Opcode::FEXP2:
+        sfu([](double) { return false; },
+            [](double x) { return std::exp2(x); });
+        break;
+      case Opcode::FLOG2:
+        sfu([](double x) { return x <= 0.0; },
+            [](double x) { return std::log2(x); });
+        break;
+      case Opcode::FDIV: {
+        bool fault = false;
+        forLanes(g, [&](int l) {
+            const double y = asF64(b[l]);
+            fault |= y == 0.0;
+            d[l] = asBits(asF64(a[l]) / y);
+        });
+        ti.arithFault = fault;
         break;
       }
-      case Opcode::FDIV:
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-            if (!(g & (1u << lane)))
-                continue;
-            double a = asF64(lane_reg(lane, in.srcs[0]));
-            double b = asF64(src_b(lane));
-            if (b == 0.0)
-                ti.arithFault = true;
-            set_lane_reg(lane, in.dst, asBits(a / b));
-        }
-        break;
       case Opcode::I2F:
-        for (int lane = 0; lane < kWarpSize; ++lane)
-            if (g & (1u << lane))
-                set_lane_reg(lane, in.dst,
-                             asBits(static_cast<double>(
-                                 static_cast<std::int64_t>(
-                                     lane_reg(lane, in.srcs[0])))));
+        map1([](std::uint64_t x) {
+            return asBits(static_cast<double>(asInt(x)));
+        });
         break;
       case Opcode::F2I:
-        for (int lane = 0; lane < kWarpSize; ++lane)
-            if (g & (1u << lane))
-                set_lane_reg(lane, in.dst,
-                             static_cast<std::uint64_t>(
-                                 static_cast<std::int64_t>(
-                                     asF64(lane_reg(lane, in.srcs[0])))));
+        map1([](std::uint64_t x) {
+            return static_cast<std::uint64_t>(
+                static_cast<std::int64_t>(asF64(x)));
+        });
         break;
-      case Opcode::SETP: {
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-            if (!(g & (1u << lane)))
-                continue;
-            bool r;
-            if (in.fcmp) {
-                double a = asF64(lane_reg(lane, in.srcs[0]));
-                double b = asF64(src_b(lane));
-                switch (in.cmp) {
-                  case isa::Cmp::EQ: r = a == b; break;
-                  case isa::Cmp::NE: r = a != b; break;
-                  case isa::Cmp::LT: r = a < b; break;
-                  case isa::Cmp::LE: r = a <= b; break;
-                  case isa::Cmp::GT: r = a > b; break;
-                  default: r = a >= b; break;
-                }
-            } else {
-                auto a = static_cast<std::int64_t>(lane_reg(lane, in.srcs[0]));
-                auto b = static_cast<std::int64_t>(src_b(lane));
-                switch (in.cmp) {
-                  case isa::Cmp::EQ: r = a == b; break;
-                  case isa::Cmp::NE: r = a != b; break;
-                  case isa::Cmp::LT: r = a < b; break;
-                  case isa::Cmp::LE: r = a <= b; break;
-                  case isa::Cmp::GT: r = a > b; break;
-                  default: r = a >= b; break;
-                }
-            }
-            blk.writePred(we.laneBase + static_cast<std::uint32_t>(lane),
-                          in.predDst, r);
-        }
+      case Opcode::SETP:
+        setPred(in.predDst,
+                in.fcmp ? compareLanes(g, in.cmp, a, b,
+                                       [](std::uint64_t x) {
+                                           return asF64(x);
+                                       })
+                        : compareLanes(g, in.cmp, a, b,
+                                       [](std::uint64_t x) {
+                                           return asInt(x);
+                                       }));
         break;
-      }
       case Opcode::PSETP: {
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-            if (!(g & (1u << lane)))
-                continue;
-            std::uint32_t t = we.laneBase + static_cast<std::uint32_t>(lane);
-            bool a = blk.readPred(t, in.predA);
-            bool b = blk.readPred(t, in.predB);
-            bool r;
-            switch (in.plogic) {
-              case isa::PLogic::And: r = a && b; break;
-              case isa::PLogic::Or: r = a || b; break;
-              case isa::PLogic::Xor: r = a != b; break;
-              default: r = !a; break;
-            }
-            blk.writePred(t, in.predDst, r);
+        const WarpMask pa = we.preds[in.predA];
+        const WarpMask pb = we.preds[in.predB];
+        WarpMask r;
+        switch (in.plogic) {
+          case isa::PLogic::And: r = pa & pb; break;
+          case isa::PLogic::Or: r = pa | pb; break;
+          case isa::PLogic::Xor: r = pa ^ pb; break;
+          default: r = ~pa; break;
         }
+        setPred(in.predDst, r);
         break;
       }
-      case Opcode::SEL:
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-            if (!(g & (1u << lane)))
-                continue;
-            std::uint32_t t = we.laneBase + static_cast<std::uint32_t>(lane);
-            bool p = blk.readPred(t, in.predA);
-            set_lane_reg(lane, in.dst,
-                         p ? lane_reg(lane, in.srcs[0])
-                           : lane_reg(lane, in.srcs[1]));
-        }
+      case Opcode::SEL: {
+        const WarpMask p = we.preds[in.predA];
+        const std::uint64_t *c = src(in.srcs[1]);
+        forLanes(g, [&](int l) { d[l] = (p >> l) & 1 ? a[l] : c[l]; });
         break;
+      }
       case Opcode::LD_GLOBAL: {
-        std::vector<Addr> &addrs = addrScratch_;
-        addrs.clear();
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-            if (!(g & (1u << lane)))
-                continue;
-            Addr a = lane_reg(lane, in.srcs[0]) +
-                     static_cast<std::uint64_t>(in.imm);
-            addrs.push_back(a);
-            set_lane_reg(lane, in.dst, mem_.read64(a));
-        }
-        add_lines_for(addrs);
+        const std::size_t n = laneAddrs();
+        mem_.read64s(addrs, n, vals);
+        scatter(vals);
+        recordLines(addrs, n, ti, out);
         break;
       }
       case Opcode::ST_GLOBAL: {
-        std::vector<Addr> &addrs = addrScratch_;
-        addrs.clear();
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-            if (!(g & (1u << lane)))
-                continue;
-            Addr a = lane_reg(lane, in.srcs[0]) +
-                     static_cast<std::uint64_t>(in.imm);
-            addrs.push_back(a);
-            mem_.write64(a, lane_reg(lane, in.srcs[1]));
-        }
-        add_lines_for(addrs);
+        const std::size_t n = laneAddrs();
+        gather(src(in.srcs[1]));
+        mem_.write64s(addrs, n, vals);
+        recordLines(addrs, n, ti, out);
         break;
       }
       case Opcode::LD_SHARED:
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-            if (!(g & (1u << lane)))
-                continue;
-            std::uint64_t off = lane_reg(lane, in.srcs[0]) +
-                                static_cast<std::uint64_t>(in.imm);
-            set_lane_reg(lane, in.dst, blk.readShared64(off));
-        }
+        forLanes(g, [&](int l) {
+            d[l] = blk.readShared64(a[l] +
+                                    static_cast<std::uint64_t>(in.imm));
+        });
         break;
-      case Opcode::ST_SHARED:
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-            if (!(g & (1u << lane)))
-                continue;
-            std::uint64_t off = lane_reg(lane, in.srcs[0]) +
-                                static_cast<std::uint64_t>(in.imm);
-            blk.writeShared64(off, lane_reg(lane, in.srcs[1]));
-        }
-        break;
-      case Opcode::ATOM_ADD: case Opcode::ATOM_MIN: case Opcode::ATOM_MAX:
-      case Opcode::ATOM_EXCH: {
-        std::vector<Addr> &addrs = addrScratch_;
-        addrs.clear();
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-            if (!(g & (1u << lane)))
-                continue;
-            Addr a = lane_reg(lane, in.srcs[0]) +
-                     static_cast<std::uint64_t>(in.imm);
-            addrs.push_back(a);
-            auto old = static_cast<std::int64_t>(mem_.read64(a));
-            auto v = static_cast<std::int64_t>(lane_reg(lane, in.srcs[1]));
-            std::int64_t nv;
-            switch (in.op) {
-              case Opcode::ATOM_ADD: nv = old + v; break;
-              case Opcode::ATOM_MIN: nv = std::min(old, v); break;
-              case Opcode::ATOM_MAX: nv = std::max(old, v); break;
-              default: nv = v; break;
-            }
-            mem_.write64(a, static_cast<std::uint64_t>(nv));
-            set_lane_reg(lane, in.dst, static_cast<std::uint64_t>(old));
-        }
-        add_lines_for(addrs);
+      case Opcode::ST_SHARED: {
+        const std::uint64_t *v = src(in.srcs[1]);
+        forLanes(g, [&](int l) {
+            blk.writeShared64(a[l] + static_cast<std::uint64_t>(in.imm),
+                              v[l]);
+        });
         break;
       }
+      case Opcode::ATOM_ADD:
+        atomic([&](std::uint64_t old, std::size_t i) -> NewWord {
+            return old + vals[i];
+        });
+        break;
+      case Opcode::ATOM_MIN:
+        atomic([&](std::uint64_t old, std::size_t i) -> NewWord {
+            return asInt(old) < asInt(vals[i]) ? old : vals[i];
+        });
+        break;
+      case Opcode::ATOM_MAX:
+        atomic([&](std::uint64_t old, std::size_t i) -> NewWord {
+            return asInt(old) < asInt(vals[i]) ? vals[i] : old;
+        });
+        break;
+      case Opcode::ATOM_EXCH:
+        atomic([&](std::uint64_t, std::size_t i) -> NewWord {
+            return vals[i];
+        });
+        break;
       case Opcode::ATOM_CAS: {
-        std::vector<Addr> &addrs = addrScratch_;
-        addrs.clear();
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-            if (!(g & (1u << lane)))
-                continue;
-            Addr a = lane_reg(lane, in.srcs[0]) +
-                     static_cast<std::uint64_t>(in.imm);
-            addrs.push_back(a);
-            std::uint64_t old = mem_.read64(a);
-            if (old == lane_reg(lane, in.srcs[1]))
-                mem_.write64(a, lane_reg(lane, in.srcs[2]));
-            set_lane_reg(lane, in.dst, old);
-        }
-        add_lines_for(addrs);
+        std::uint64_t swap[kWarpSize];
+        const std::uint64_t *c = src(in.srcs[2]);
+        std::size_t k = 0;
+        forLanes(g, [&](int l) { swap[k++] = c[l]; });
+        atomic([&](std::uint64_t old, std::size_t i) -> NewWord {
+            if (old == vals[i])
+                return swap[i];
+            return std::nullopt;
+        });
         break;
       }
       case Opcode::ALLOC: {
-        std::vector<Addr> &addrs = addrScratch_;
-        addrs.clear();
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-            if (!(g & (1u << lane)))
-                continue;
-            std::uint64_t sz = lane_reg(lane, in.srcs[0]);
-            Addr p = mem_.allocFromHeap(sz);
-            set_lane_reg(lane, in.dst, p);
-        }
+        forLanes(g, [&](int l) { d[l] = mem_.allocFromHeap(a[l]); });
         // Timing-wise the bump is an atomic on the heap cursor word.
+        std::size_t n = 0;
         if (g)
-            addrs.push_back(mem_.heapCursorAddr());
-        add_lines_for(addrs);
+            addrs[n++] = mem_.heapCursorAddr();
+        recordLines(addrs, n, ti, out);
         break;
       }
       default:
@@ -715,7 +704,6 @@ FunctionalSim::stepWarp(const Kernel &kernel, BlockExec &blk, WarpExec &we,
     }
 
     out.insts.push_back(ti);
-    (void)is_control;
 
     if (!stack_handled) {
         if (!we.stack.advance(next_pc))

@@ -8,9 +8,9 @@
 #ifndef GEX_FUNC_FUNCTIONAL_SIM_HPP
 #define GEX_FUNC_FUNCTIONAL_SIM_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "func/kernel.hpp"
 #include "func/memory.hpp"
@@ -24,6 +24,11 @@ namespace gex::func {
  * warps within a block interleave at instruction granularity with
  * correct barrier semantics, so intra-block shared-memory communication
  * behaves as on hardware.
+ *
+ * A warp executes a whole instruction at once: registers are stored
+ * per warp as rows of 32 lanes and predicates as one lane mask per
+ * predicate register, so each opcode family is one lane kernel run
+ * over the guard mask (a full warp is the all-ones mask).
  */
 class FunctionalSim
 {
@@ -55,12 +60,19 @@ class FunctionalSim
     bool stepWarp(const Kernel &kernel, BlockExec &blk, WarpExec &w,
                   trace::WarpTrace &out);
 
+    /** Coalesce one global-memory instruction's lane addresses into
+     *  @p out's line pool and count it toward memInsts/memRequests. */
+    void recordLines(const Addr *addrs, std::size_t n,
+                     trace::TraceInst &ti, trace::WarpTrace &out);
+
     GlobalMemory &mem_;
     std::uint64_t maxWarpInsts_ = 50'000'000;
-    /** Scratch reused across every traced memory instruction so the
-     *  per-instruction hot path performs no heap allocation. */
-    std::vector<Addr> addrScratch_;
-    std::vector<Addr> lineScratch_;
+    std::uint64_t memInsts_ = 0;
+    std::uint64_t memRequests_ = 0;
+    /** Register rows standing in for RZ as a destination (writes are
+     *  discarded) and for an immediate second operand. */
+    std::uint64_t sinkRow_[kWarpSize] = {};
+    std::uint64_t immRow_[kWarpSize] = {};
 };
 
 } // namespace gex::func

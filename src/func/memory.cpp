@@ -8,19 +8,28 @@
 
 namespace gex::func {
 
-namespace {
-
-/** Index of @p a's word within its page (@p a is 8-byte aligned). */
-std::size_t
-wordIndex(Addr a)
+void
+GlobalMemory::checkAligned(Addr a)
 {
-    return static_cast<std::size_t>(a % kPageSize) / 8;
+    GEX_ASSERT((a & 7) == 0, "unaligned access at 0x%llx",
+               static_cast<unsigned long long>(a));
 }
 
-} // namespace
+std::uint64_t *
+GlobalMemory::findPage(Addr page_num)
+{
+    if (memo_.num != page_num) {
+        auto it = pages_.find(page_num);
+        if (it == pages_.end())
+            return nullptr;
+        memo_.num = page_num;
+        memo_.page = &it->second;
+    }
+    return memo_.page->data();
+}
 
-GlobalMemory::Page &
-GlobalMemory::page(Addr page_num)
+std::uint64_t *
+GlobalMemory::touchPage(Addr page_num)
 {
     if (memo_.num != page_num) {
         auto it = pages_.find(page_num);
@@ -29,7 +38,7 @@ GlobalMemory::page(Addr page_num)
         memo_.num = page_num;
         memo_.page = &it->second;
     }
-    return *memo_.page;
+    return memo_.page->data();
 }
 
 const GlobalMemory::Page *
@@ -42,24 +51,15 @@ GlobalMemory::pageIfPresent(Addr page_num) const
 std::uint64_t
 GlobalMemory::read64(Addr a)
 {
-    GEX_ASSERT((a & 7) == 0, "unaligned read64 at 0x%llx",
-               static_cast<unsigned long long>(a));
-    const Addr num = pageOf(a);
-    if (memo_.num != num) {
-        auto it = pages_.find(num);
-        if (it == pages_.end())
-            return 0;
-        memo_.num = num;
-        memo_.page = &it->second;
-    }
-    return (*memo_.page)[wordIndex(a)];
+    checkAligned(a);
+    const std::uint64_t *words = findPage(pageOf(a));
+    return words ? words[wordIndex(a)] : 0;
 }
 
 std::uint64_t
 GlobalMemory::read64(Addr a) const
 {
-    GEX_ASSERT((a & 7) == 0, "unaligned read64 at 0x%llx",
-               static_cast<unsigned long long>(a));
+    checkAligned(a);
     const Page *p = pageIfPresent(pageOf(a));
     return p ? (*p)[wordIndex(a)] : 0;
 }
@@ -67,9 +67,39 @@ GlobalMemory::read64(Addr a) const
 void
 GlobalMemory::write64(Addr a, std::uint64_t v)
 {
-    GEX_ASSERT((a & 7) == 0, "unaligned write64 at 0x%llx",
-               static_cast<unsigned long long>(a));
-    page(pageOf(a))[wordIndex(a)] = v;
+    checkAligned(a);
+    touchPage(pageOf(a))[wordIndex(a)] = v;
+}
+
+void
+GlobalMemory::read64s(const Addr *a, std::size_t n, std::uint64_t *out)
+{
+    std::size_t i = 0;
+    while (i < n) {
+        const Addr num = pageOf(a[i]);
+        const std::uint64_t *words = findPage(num);
+        do {
+            checkAligned(a[i]);
+            out[i] = words ? words[wordIndex(a[i])] : 0;
+            ++i;
+        } while (i < n && pageOf(a[i]) == num);
+    }
+}
+
+void
+GlobalMemory::write64s(const Addr *a, std::size_t n,
+                       const std::uint64_t *v)
+{
+    std::size_t i = 0;
+    while (i < n) {
+        const Addr num = pageOf(a[i]);
+        std::uint64_t *words = touchPage(num);
+        do {
+            checkAligned(a[i]);
+            words[wordIndex(a[i])] = v[i];
+            ++i;
+        } while (i < n && pageOf(a[i]) == num);
+    }
 }
 
 void

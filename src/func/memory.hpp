@@ -7,7 +7,9 @@
 #ifndef GEX_FUNC_MEMORY_HPP
 #define GEX_FUNC_MEMORY_HPP
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -33,6 +35,46 @@ class GlobalMemory
     /** The same value without the memo, for const (shared) readers. */
     std::uint64_t read64(Addr a) const;
     void write64(Addr a, std::uint64_t v);
+
+    /**
+     * One warp instruction's lanes, in lane order: @p n accesses at
+     * @p a, each with read64/write64's result and alignment check. A
+     * run of consecutive addresses on one page resolves that page
+     * once; reads of a never-written page return 0 and create none.
+     */
+    void read64s(const Addr *a, std::size_t n, std::uint64_t *out);
+    void write64s(const Addr *a, std::size_t n, const std::uint64_t *v);
+
+    /**
+     * Read-modify-write per address in order (global atomics):
+     * out[i] receives the word's old value, then @p next(old, i)
+     * returns the value to store, or nullopt to leave the word (and
+     * an absent page) untouched. Lanes hitting one word see each
+     * other's updates, as the sequential per-lane order requires.
+     */
+    template <typename Next>
+    void
+    update64s(const Addr *a, std::size_t n, std::uint64_t *out,
+              Next &&next)
+    {
+        std::size_t i = 0;
+        while (i < n) {
+            const Addr num = pageOf(a[i]);
+            std::uint64_t *words = findPage(num);
+            do {
+                checkAligned(a[i]);
+                const std::size_t w = wordIndex(a[i]);
+                const std::uint64_t old = words ? words[w] : 0;
+                out[i] = old;
+                if (std::optional<std::uint64_t> nv = next(old, i)) {
+                    if (!words)
+                        words = touchPage(num);
+                    words[w] = *nv;
+                }
+                ++i;
+            } while (i < n && pageOf(a[i]) == num);
+        }
+    }
 
     double
     readF64(Addr a) const
@@ -109,7 +151,20 @@ class GlobalMemory
         }
     };
 
-    Page &page(Addr pageNum);
+    /** Index of @p a's word within its page. */
+    static std::size_t
+    wordIndex(Addr a)
+    {
+        return static_cast<std::size_t>(a % kPageSize) / 8;
+    }
+    /** Accesses are 8-byte aligned (fatal otherwise). */
+    static void checkAligned(Addr a);
+
+    /** Words of page @p pageNum through the memo; nullptr if absent. */
+    std::uint64_t *findPage(Addr pageNum);
+    /** Words of page @p pageNum through the memo, zero-filled on
+     *  first touch. */
+    std::uint64_t *touchPage(Addr pageNum);
     const Page *pageIfPresent(Addr pageNum) const;
 
     std::unordered_map<Addr, Page> pages_;

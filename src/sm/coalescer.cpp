@@ -4,24 +4,37 @@
 
 namespace gex::sm {
 
-void
-coalesceInto(const Addr *lane_addrs, std::size_t n,
-             std::vector<Addr> &lines_out)
+std::size_t
+coalesceLines(const Addr *lane_addrs, std::size_t n, Addr *lines)
 {
-    lines_out.clear();
-    lines_out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        lines_out.push_back(lineOf(lane_addrs[i]));
-    std::sort(lines_out.begin(), lines_out.end());
-    lines_out.erase(std::unique(lines_out.begin(), lines_out.end()),
-                    lines_out.end());
+    if (n == 0)
+        return 0;
+    // Drop repeats of the previous line on the way; if every kept line
+    // rises, the list is already sort plus unique.
+    Addr prev = lineOf(lane_addrs[0]);
+    lines[0] = prev;
+    std::size_t k = 1;
+    bool rising = true;
+    for (std::size_t i = 1; i < n; ++i) {
+        const Addr l = lineOf(lane_addrs[i]);
+        if (l == prev)
+            continue;
+        rising &= l > prev;
+        lines[k++] = l;
+        prev = l;
+    }
+    if (rising)
+        return k;
+    std::sort(lines, lines + k);
+    return static_cast<std::size_t>(std::unique(lines, lines + k) - lines);
 }
 
 std::vector<Addr>
 coalesce(const std::vector<Addr> &lane_addrs)
 {
-    std::vector<Addr> lines;
-    coalesceInto(lane_addrs.data(), lane_addrs.size(), lines);
+    std::vector<Addr> lines(lane_addrs.size());
+    lines.resize(
+        coalesceLines(lane_addrs.data(), lane_addrs.size(), lines.data()));
     return lines;
 }
 
@@ -33,11 +46,7 @@ coalescedCount(const std::vector<Addr> &lane_addrs)
     if (lane_addrs.size() > static_cast<std::size_t>(kWarpSize))
         return coalesce(lane_addrs).size();
     Addr lines[kWarpSize];
-    std::size_t n = lane_addrs.size();
-    for (std::size_t i = 0; i < n; ++i)
-        lines[i] = lineOf(lane_addrs[i]);
-    std::sort(lines, lines + n);
-    return static_cast<std::size_t>(std::unique(lines, lines + n) - lines);
+    return coalesceLines(lane_addrs.data(), lane_addrs.size(), lines);
 }
 
 } // namespace gex::sm

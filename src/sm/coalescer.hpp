@@ -17,18 +17,20 @@
 namespace gex::sm {
 
 /**
- * Coalesce @p n per-lane addresses into @p lines_out (replaced, not
- * appended): unique, sorted line addresses. The caller owns and reuses
- * @p lines_out across calls, so steady-state tracing allocates nothing.
+ * Coalesce @p n per-lane addresses into @p lines (room for @p n
+ * entries): unique line addresses in ascending order, exactly sort
+ * plus unique of their lines. Returns how many. When the lanes' lines
+ * are already non-decreasing, as for the usual unit-stride or
+ * broadcast warp, one pass suffices and nothing is sorted.
  */
-void coalesceInto(const Addr *lane_addrs, std::size_t n,
-                  std::vector<Addr> &lines_out);
+std::size_t coalesceLines(const Addr *lane_addrs, std::size_t n,
+                          Addr *lines);
 
 /** Unique, sorted line addresses for a set of per-lane addresses. */
 std::vector<Addr> coalesce(const std::vector<Addr> &lane_addrs);
 
-/** Number of requests @p lane_addrs coalesces to (no copy, no heap
- *  allocation for warp-sized inputs). */
+/** Number of requests @p lane_addrs coalesces to (no heap allocation
+ *  for warp-sized inputs). */
 std::size_t coalescedCount(const std::vector<Addr> &lane_addrs);
 
 } // namespace gex::sm

@@ -9,7 +9,7 @@ void
 PipelineState::sanEventScheduled(Cycle cycle, std::uint64_t seq,
                                  EvKind kind)
 {
-    san->onEventScheduled(smId, cycle, seq, static_cast<int>(kind));
+    san->onEventScheduled(smId, cycle, seq, kind);
 }
 
 PipelineState::PipelineState(int id, const gpu::GpuConfig &config,

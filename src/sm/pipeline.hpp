@@ -51,6 +51,7 @@ struct LaunchInfo {
 enum class EvKind : std::uint8_t {
     SourceRelease, LastCheck, Commit, FaultReact, WarpResume,
     SaveReady, SaveDone, RestoreDone, SlotRetry, TrapEnter,
+    NumEvKinds, ///< count of the kinds above; never scheduled
 };
 
 struct Event {

@@ -283,6 +283,8 @@ Sm::processEvents(Cycle now)
             st_.slotRetryAt = kNoCycle;
             fillEmptySlots(now);
             break;
+          case EvKind::NumEvKinds:
+            panic("event of kind NumEvKinds popped");
         }
     }
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "sm/coalescer.hpp"
 
 namespace gex::sm {
@@ -64,6 +67,48 @@ TEST(Coalescer, CountMatchesCoalesce)
 {
     std::vector<Addr> addrs = {0, 8, 128, 4096};
     EXPECT_EQ(coalescedCount(addrs), coalesce(addrs).size());
+}
+
+TEST(Coalescer, SortFreePassMatchesSortUnique)
+{
+    // coalesceLines skips the sort when the lanes' lines never fall;
+    // either way its output must be exactly sort plus unique.
+    std::mt19937_64 rng(0x5eed);
+    for (int iter = 0; iter < 20000; ++iter) {
+        const std::size_t n = rng() % (kWarpSize + 1);
+        const Addr base = (rng() % 4096) * kLineSize;
+        std::vector<Addr> addrs;
+        for (std::size_t i = 0; i < n; ++i) {
+            switch (iter % 4) {
+              case 0: // monotone strides, repeats within a line
+                addrs.push_back(base + i * (8 << (iter / 4 % 6)));
+                break;
+              case 1: // monotone with duplicates and equal lines
+                addrs.push_back(base + (i / 3) * kLineSize + rng() % 16 * 8);
+                break;
+              case 2: // a few lines, shuffled
+                addrs.push_back(base + rng() % 4 * kLineSize + rng() % 16);
+                break;
+              default: // anywhere
+                addrs.push_back(rng() % (1 << 24));
+                break;
+            }
+        }
+        if (iter % 4 == 0 && iter % 3 == 0)
+            std::shuffle(addrs.begin(), addrs.end(), rng);
+        std::vector<Addr> want;
+        for (Addr a : addrs)
+            want.push_back(lineOf(a));
+        std::sort(want.begin(), want.end());
+        want.erase(std::unique(want.begin(), want.end()), want.end());
+
+        Addr lines[kWarpSize];
+        const std::size_t k = coalesceLines(addrs.data(), n, lines);
+        ASSERT_EQ(std::vector<Addr>(lines, lines + k), want)
+            << "iteration " << iter;
+        ASSERT_EQ(coalesce(addrs), want);
+        ASSERT_EQ(coalescedCount(addrs), want.size());
+    }
 }
 
 } // namespace

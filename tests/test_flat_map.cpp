@@ -51,6 +51,24 @@ TEST(FlatMap, InsertFindErase)
     EXPECT_EQ(m.size(), 1u);
 }
 
+TEST(FlatMap, InsertOnlyAddsAbsentKeys)
+{
+    FlatMap<std::uint64_t> m;
+    EXPECT_TRUE(m.insert(0x1000));
+    ASSERT_NE(m.find(0x1000), nullptr);
+    EXPECT_EQ(*m.find(0x1000), 0u);
+    *m.find(0x1000) = 5;
+    EXPECT_FALSE(m.insert(0x1000));
+    EXPECT_EQ(*m.find(0x1000), 5u); // an existing value is kept
+    EXPECT_EQ(m.size(), 1u);
+    // Inserts past the load limit grow the table and keep every key.
+    for (Addr a = 1; a <= 100; ++a)
+        EXPECT_TRUE(m.insert(0x1000 + a * 64));
+    EXPECT_EQ(m.size(), 101u);
+    for (Addr a = 0; a <= 100; ++a)
+        EXPECT_FALSE(m.insert(0x1000 + a * 64));
+}
+
 TEST(FlatMap, ClearKeepsCapacity)
 {
     FlatMap<int> m;
@@ -152,7 +170,8 @@ TEST(FlatMap, EraseIfRemovesExactlyMatching)
 TEST(FlatMap, RandomizedDifferentialAgainstUnorderedMap)
 {
     // Drive FlatMap and std::unordered_map with the same operation
-    // stream (insert / overwrite / erase / eraseIf / clear) over a
+    // stream (insert / overwrite / insert-if-absent / erase / eraseIf /
+    // clear) over a
     // small key universe so collisions, backshifts and growth all
     // trigger, and require identical observable state throughout.
     std::mt19937_64 rng(0xC0FFEEu);
@@ -162,11 +181,16 @@ TEST(FlatMap, RandomizedDifferentialAgainstUnorderedMap)
 
     for (int step = 0; step < 200'000; ++step) {
         switch (rng() % 10) {
-          case 0: case 1: case 2: case 3: { // insert/overwrite
+          case 0: case 1: case 2: { // insert/overwrite
             Addr k = rand_key();
             std::uint64_t v = rng();
             fm[k] = v;
             ref[k] = v;
+            break;
+          }
+          case 3: { // insert if absent, default value
+            Addr k = rand_key();
+            EXPECT_EQ(fm.insert(k), ref.try_emplace(k, 0).second);
             break;
           }
           case 4: case 5: case 6: { // erase
