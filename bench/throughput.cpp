@@ -3,22 +3,24 @@
  * Self-measuring simulator-throughput harness (gexsim-throughput):
  * runs a fixed grid of timing simulations, serially and then through
  * the parallel sweep engine, and reports simulated kcycles per wall
- * second against the recorded pre-optimization baseline. This is the
- * regression gate for hot-path work on the timing loop: the simulated
- * results themselves are pinned bit-identical by the golden-stats
- * test, so the only thing allowed to move here is wall time.
+ * second against the recorded pre-optimization baseline. Then it times
+ * one lbm run at 1/4/8/16 SMs (the wall clock against the SM count).
+ * This is the regression gate for hot-path work on the timing loop:
+ * the simulated results themselves are pinned bit-identical by the
+ * golden-stats test, so the only thing allowed to move here is wall
+ * time.
  *
  *     gexsim-throughput [--quick] [--jobs N] [--json FILE]
  *
- * --quick runs a 5-point subset (CI smoke; no baseline comparison),
- * --jobs N sets sweep-engine workers (0 = all cores), --json FILE
- * writes the measurements as one BENCH_throughput.json document.
+ * --quick runs a 5-point subset of the grid (CI smoke; no baseline
+ * comparison) and the full SM-count table, --jobs N sets sweep-engine
+ * workers (0 = all cores), --json FILE writes the measurements as one
+ * BENCH_throughput.json document.
  */
 
 #include <chrono>
 #include <cstdio>
 #include <thread>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -44,6 +46,7 @@ struct Point {
     const char *workload;
     const char *scheme;
     bool demandPaging;
+    int sms = 0; ///< 0: the baseline's SM count
 };
 
 /**
@@ -74,6 +77,14 @@ const Point kQuickGrid[] = {
     {"bfs", "replay-queue", true},
 };
 
+/** One run's wall clock against the SM count. */
+const Point kScalingGrid[] = {
+    {"lbm", "baseline", false, 1},
+    {"lbm", "baseline", false, 4},
+    {"lbm", "baseline", false, 8},
+    {"lbm", "baseline", false, 16},
+};
+
 struct PointResult {
     const Point *pt;
     std::uint64_t cycles = 0;
@@ -101,6 +112,8 @@ configFor(const Point &pt)
 {
     gpu::GpuConfig cfg = gpu::GpuConfig::baseline();
     cfg.scheme = gpu::schemeFromName(pt.scheme);
+    if (pt.sms > 0)
+        cfg.numSms = pt.sms;
     return cfg;
 }
 
@@ -178,10 +191,17 @@ writePhase(json::Writer &w, const PhaseTotals &t)
     w.endObject();
 }
 
+double
+kcyclesPerSec(const PointResult &pr)
+{
+    return pr.wallSeconds > 0 ? pr.cycles / pr.wallSeconds / 1e3 : 0.0;
+}
+
 void
 writeJson(const std::string &path, bool quick, int jobs,
           const std::vector<PointResult> &points,
-          const PhaseTotals &serial, const PhaseTotals &sweep)
+          const PhaseTotals &serial, const PhaseTotals &sweep,
+          const std::vector<PointResult> &scaling)
 {
     std::ofstream os(path);
     if (!os)
@@ -230,10 +250,19 @@ writeJson(const std::string &path, bool quick, int jobs,
         w.key("cycles").value(pr.cycles);
         w.key("instructions").value(pr.instructions);
         w.key("wall_seconds").value(pr.wallSeconds);
-        w.key("kcycles_per_sec")
-            .value(pr.wallSeconds > 0
-                       ? pr.cycles / pr.wallSeconds / 1e3
-                       : 0.0);
+        w.key("kcycles_per_sec").value(kcyclesPerSec(pr));
+        w.endObject();
+    }
+    w.endArray();
+
+    w.key("scaling").beginArray();
+    for (const PointResult &pr : scaling) {
+        w.beginObject();
+        w.key("workload").value(pr.pt->workload);
+        w.key("sms").value(pr.pt->sms);
+        w.key("cycles").value(pr.cycles);
+        w.key("wall_seconds").value(pr.wallSeconds);
+        w.key("kcycles_per_sec").value(kcyclesPerSec(pr));
         w.endObject();
     }
     w.endArray();
@@ -249,36 +278,33 @@ toolMain(int argc, char **argv)
     bool quick = false;
     int jobs = 0; // sweep phase defaults to all cores
     std::string jsonPath;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("flag %s needs a value", a.c_str());
-            return argv[++i];
-        };
-        if (a == "--quick") quick = true;
-        else if (a == "--jobs")
-            jobs = cli::parseIntFlag("--jobs", next(), 0, 4096);
-        else if (a == "--json") jsonPath = next();
-        else if (a == "--help" || a == "-h") {
-            std::printf("gexsim-throughput [--quick] [--jobs N] "
-                        "[--json FILE]\n");
-            return 0;
-        } else {
-            fatal("unknown flag '%s' (accepted: --quick, --jobs N, "
-                  "--json FILE)", a.c_str());
-        }
-    }
+    cli::ArgParser p("gexsim-throughput",
+                     "simulator throughput: serial and sweep wall time "
+                     "of a fixed grid, and one run against the SM count");
+    p.synopsis("gexsim-throughput [--quick] [--jobs N] [--json FILE]");
+    p.flag("--quick",
+           "5-point grid subset (no baseline comparison); the SM-count "
+           "table still runs in full",
+           [&] { quick = true; });
+    p.option("--jobs", "N", "sweep-engine workers (default 0 = all cores)",
+             [&](const std::string &v) {
+                 jobs = cli::parseIntFlag("--jobs", v, 0, 4096);
+             });
+    p.option("--json", "FILE", "write the measurements as JSON",
+             [&](const std::string &v) { jsonPath = v; });
+    p.parse(argc, argv);
 
     const Point *grid = quick ? kQuickGrid : kStandardGrid;
     const std::size_t n = quick ? std::size(kQuickGrid)
                                 : std::size(kStandardGrid);
 
     // Functional tracing is one-time setup, not timing-loop work;
-    // build every trace before either measured phase.
+    // build every trace before any measured phase.
     harness::SweepEngine eng(jobs);
     for (std::size_t i = 0; i < n; ++i)
         (void)eng.traces().get(grid[i].workload);
+    for (const Point &pt : kScalingGrid)
+        (void)eng.traces().get(pt.workload);
 
     PhaseTotals serial;
     std::vector<PointResult> points =
@@ -299,13 +325,27 @@ toolMain(int argc, char **argv)
                 sweep.instsPerSec(), eng.jobs(),
                 std::thread::hardware_concurrency());
 
+    PhaseTotals scalingTotals;
+    std::vector<PointResult> scaling =
+        runSerial(eng.traces(), kScalingGrid, std::size(kScalingGrid),
+                  scalingTotals);
+    std::printf("\none run against the SM count (lbm, baseline scheme)\n"
+                "%8s %12s %12s %14s\n",
+                "SMs", "cycles", "wall s", "kcycles/s");
+    for (const PointResult &pr : scaling)
+        std::printf("%8d %12llu %12.3f %14.2f\n", pr.pt->sms,
+                    static_cast<unsigned long long>(pr.cycles),
+                    pr.wallSeconds, kcyclesPerSec(pr));
+
     if (!jsonPath.empty())
-        writeJson(jsonPath, quick, eng.jobs(), points, serial, sweep);
+        writeJson(jsonPath, quick, eng.jobs(), points, serial, sweep,
+                  scaling);
     return 0;
 }
 
 int
 main(int argc, char **argv)
 {
-    return cli::run("throughput", [&] { return toolMain(argc, argv); });
+    return cli::run("gexsim-throughput",
+                    [&] { return toolMain(argc, argv); });
 }

@@ -47,7 +47,7 @@ struct FuzzOptions {
     int cases = 20;
     /** Workload pool; empty = a curated fast subset. */
     std::vector<std::string> workloads;
-    /** Attach the last-K event ring to every run's sanitizer. */
+    /** Attach the event capture ring to every run's sanitizer. */
     bool captureEvents = true;
 };
 

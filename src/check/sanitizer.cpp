@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <iterator>
+#include <sstream>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "gpu/config.hpp"
 #include "isa/program.hpp"
+#include "obs/pipeline_view.hpp"
 #include "sm/exception_model.hpp"
 #include "sm/pipeline.hpp"
 #include "trace/trace.hpp"
@@ -37,7 +39,7 @@ ViolationHooks::arm(const std::string &name)
 
 SimSanitizer::SimSanitizer(const gpu::GpuConfig &cfg,
                            obs::PipelineObserver *next,
-                           const obs::LastKObserver *tail)
+                           const obs::PipelineView *tail)
     : cfg_(cfg), next_(next), tail_(tail)
 {
     sm::SchemePolicy pol = sm::SchemePolicy::make(cfg.scheme);
@@ -101,8 +103,10 @@ SimSanitizer::fail(const std::string &what, Cycle cycle, int sm,
     ctx.scheme = gpu::schemeName(cfg_.scheme);
     std::string diag;
     if (tail_) {
-        diag = "  last pipeline events:\n";
-        diag += tail_->render();
+        std::ostringstream os;
+        os << "  last pipeline events:\n";
+        tail_->render(os);
+        diag = os.str();
     } else {
         diag = "  (recent-event capture off; add --capture-events for "
                "the event tail)\n";
@@ -129,7 +133,7 @@ SimSanitizer::instFlags(const WarpShadow &w, std::uint32_t traceIdx)
 void
 SimSanitizer::event(const obs::PipeEvent &e)
 {
-    // Forward first: the violating event must reach the last-K ring
+    // Forward first: the violating event must reach the capture ring
     // (and any user observer) before a violation renders it.
     if (next_)
         next_->event(e);

@@ -41,6 +41,9 @@ struct GpuConfig;
 namespace gex::isa {
 class Program;
 }
+namespace gex::obs {
+class PipelineView;
+}
 namespace gex::trace {
 struct KernelTrace;
 }
@@ -59,14 +62,14 @@ class SimSanitizer : public obs::PipelineObserver
 {
   public:
     /**
-     * @p next is the downstream observer (the watchdog's last-K ring,
-     * or the user's observer); every event forwards there *before* it
-     * is checked, so a violation report's event tail includes the
-     * violating event itself. @p tail, when non-null, is the last-K
-     * ring whose render() becomes the diagnostics bundle.
+     * @p next is the downstream observer (the capture ring, or the
+     * user's observer); every event forwards there *before* it is
+     * checked, so a violation report's event tail includes the
+     * violating event itself. @p tail, when non-null, is the capture
+     * ring whose rendered table becomes the diagnostics bundle.
      */
     SimSanitizer(const gpu::GpuConfig &cfg, obs::PipelineObserver *next,
-                 const obs::LastKObserver *tail);
+                 const obs::PipelineView *tail);
 
     /** Test-only deliberate violations (check/hooks.hpp). */
     ViolationHooks hooks;
@@ -93,8 +96,9 @@ class SimSanitizer : public obs::PipelineObserver
     void onBlockInstalled(int sm, int slot, std::uint32_t blockId,
                           int firstWarp, int numWarps);
     /**
-     * The LSU saw a faulting translation for @p page; the invariant is
-     * that no TLB level may have cached it (throws).
+     * An LSU request faulted on @p page at @p now; the invariant is
+     * that no TLB level holds its translation as the request leaves
+     * them (throws).
      */
     void onFaultedTranslation(int sm, int warp, Addr page,
                               const vm::Tlb &l1tlb, Cycle now);
@@ -186,7 +190,7 @@ class SimSanitizer : public obs::PipelineObserver
 
     const gpu::GpuConfig &cfg_;
     obs::PipelineObserver *next_;
-    const obs::LastKObserver *tail_;
+    const obs::PipelineView *tail_;
 
     // Scheme traits, resolved once per run from the config.
     bool wdScheme_ = false;

@@ -1,7 +1,5 @@
 #include "gpu/config.hpp"
 
-#include <sstream>
-
 #include "common/log.hpp"
 
 namespace gex::gpu {
@@ -74,44 +72,6 @@ GpuConfig
 GpuConfig::baseline()
 {
     return GpuConfig{};
-}
-
-std::string
-GpuConfig::describe() const
-{
-    std::ostringstream os;
-    os << "SM:\n"
-       << "  Frequency            1GHz\n"
-       << "  Max TBs              " << sm.maxThreadBlocks << "\n"
-       << "  Max Warps            " << sm.maxWarps << "\n"
-       << "  Register File        " << sm.registerFileBytes / 1024 << "KB\n"
-       << "  Shared memory        " << sm.sharedMemBytes / 1024 << "KB\n"
-       << "  Issue ways           " << sm.issueWidth
-       << " instructions total from 1 or 2 warps\n"
-       << "  Backend units        " << sm.numMathUnits
-       << " math, 1 special func, 1 ld/st, 1 branch\n"
-       << "  L1 cache             " << sm.l1.sizeBytes / 1024 << "KB / "
-       << sm.l1.ways << "-way LRU / " << kLineSize << "B line\n"
-       << "                       " << sm.l1.mshrs << " MSHRs / "
-       << sm.l1.latency << " clk latency / virtual\n"
-       << "  L1 TLB               " << sm.l1Tlb.entries << " entries / "
-       << sm.l1Tlb.ways << "-way LRU\n"
-       << "System:\n"
-       << "  Number of SMs        " << numSms << "\n"
-       << "  L2 cache             " << l2.sizeBytes / (1024 * 1024)
-       << "MB / " << l2.ways << "-way LRU / " << kLineSize << "B line\n"
-       << "                       " << l2.latency << " clk latency / "
-       << l2.mshrs << " MSHRs\n"
-       << "  L2 TLB               " << mmu.l2Tlb.entries << " entries / "
-       << mmu.l2Tlb.ways << "-way LRU\n"
-       << "                       " << mmu.l2Tlb.missQueue << " MSHRs / "
-       << mmu.l2Tlb.latency << " clk latency\n"
-       << "  Number of PT walkers " << mmu.numWalkers << "\n"
-       << "  Walking latency      " << mmu.walkCycles << " clk\n"
-       << "  DRAM bandwidth       "
-       << static_cast<int>(dramBytesPerCycle) << " GB/s\n"
-       << "  DRAM latency         " << dramLatency << " clk\n";
-    return os.str();
 }
 
 } // namespace gex::gpu

@@ -227,9 +227,6 @@ struct GpuConfig {
 
     /** Paper Table 1 defaults. */
     static GpuConfig baseline();
-
-    /** Human-readable parameter dump (Table 1 reproduction). */
-    std::string describe() const;
 };
 
 } // namespace gex::gpu

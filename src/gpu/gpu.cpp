@@ -64,17 +64,18 @@ Gpu::reset(const func::Kernel &kernel, const trace::KernelTrace &trace,
     vm::applyPolicy(*dir_, kernel, policy);
 
     sched_ = std::make_unique<TbScheduler>(trace);
-    // Watchdog event capture: a bounded ring teeing into the user's
+    // Watchdog event capture: a bounded ring forwarding to the user's
     // observer (if any). Only built on request — attaching any
     // observer makes every emission site construct its event, which
     // plain runs must not pay for.
-    lastK_.reset();
+    recent_.reset();
     obs::PipelineObserver *eff = observer_;
     if (cfg_.watchdogCaptureEvents) {
-        lastK_ = std::make_unique<obs::LastKObserver>(
+        recent_ = std::make_unique<obs::PipelineView>(
             static_cast<std::size_t>(std::max(1, cfg_.watchdogLastEvents)),
             observer_);
-        eff = lastK_.get();
+        recent_->setProgram(&kernel.program);
+        eff = recent_.get();
     }
     // Invariant sanitizer (--check): heads the chain so it sees the
     // same stream the ring and the user observer do, and forwards
@@ -82,7 +83,7 @@ Gpu::reset(const func::Kernel &kernel, const trace::KernelTrace &trace,
     san_.reset();
     if (cfg_.checkInvariants) {
         san_ = std::make_unique<check::SimSanitizer>(cfg_, eff,
-                                                     lastK_.get());
+                                                     recent_.get());
         san_->hooks.arm(cfg_.checkViolation);
         eff = san_.get();
     }
@@ -124,10 +125,12 @@ Gpu::diagnose(Cycle now)
                      sched_->hasPending() ? "yes" : "no");
     for (auto &s : sms_)
         s->appendDiagnostics(out);
-    if (lastK_) {
+    if (recent_) {
         out += strprintf("  last %d pipeline events:\n",
                          cfg_.watchdogLastEvents);
-        out += lastK_->render();
+        std::ostringstream os;
+        recent_->render(os);
+        out += os.str();
     } else {
         out += "  (recent-event capture off; set "
                "GpuConfig::watchdogCaptureEvents for the event tail)\n";

@@ -19,6 +19,7 @@
 #include "inject/fault_model.hpp"
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
+#include "obs/pipeline_view.hpp"
 #include "sm/lsu.hpp"
 #include "sm/sm.hpp"
 #include "trace/trace.hpp"
@@ -122,14 +123,15 @@ class Gpu : public sm::MemorySystem
     std::vector<std::unique_ptr<sm::Sm>> sms_;
     obs::PipelineObserver *observer_ = nullptr;
     /**
-     * Last-K event capture ring for watchdog diagnostics, created per
-     * reset() when GpuConfig::watchdogCaptureEvents is set; tees into
-     * observer_ so capture composes with a user observer.
+     * Event capture ring for the watchdog's and the sanitizer's
+     * diagnostics, created per reset() when
+     * GpuConfig::watchdogCaptureEvents is set; forwards to observer_
+     * so capture composes with a user observer.
      */
-    std::unique_ptr<obs::LastKObserver> lastK_;
+    std::unique_ptr<obs::PipelineView> recent_;
     /**
      * Invariant sanitizer (GpuConfig::checkInvariants), rebuilt per
-     * reset(). Heads the observer chain (sanitizer → last-K ring →
+     * reset(). Heads the observer chain (sanitizer → capture ring →
      * user observer) and is also attached to every SM's targeted
      * hooks; exec-only, so results are identical with it detached.
      */

@@ -1,6 +1,7 @@
 #include "harness/grid.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <set>
@@ -21,6 +22,25 @@ struct Axis {
 
 /** One object of "axes": its axes in file order. */
 using Block = std::vector<Axis>;
+
+/**
+ * The "scale" axis. A point's scale is a grid key (RunSpec::scale),
+ * not a registry knob, so this knob only validates the axis values
+ * and names the axis in labels; expandGrid never sets it.
+ */
+const config::Knob &
+scaleKnob()
+{
+    static const config::Knob k = [] {
+        config::Knob s;
+        s.name = "scale";
+        s.type = config::KnobType::Int;
+        s.imin = 1;
+        s.imax = 1 << 20;
+        return s;
+    }();
+    return k;
+}
 
 const config::Knob &
 findKnob(const std::string &where, const std::string &name)
@@ -43,7 +63,8 @@ parseBlock(const std::string &where, const json::Value &obj)
               where.c_str());
     Block b;
     for (const std::string &name : obj.keys) {
-        Axis a{&findKnob(where, name), {}};
+        Axis a{name == "scale" ? &scaleKnob() : &findKnob(where, name),
+               {}};
         const std::string ctx =
             strprintf("%s: '%s'", where.c_str(), name.c_str());
         const json::Value &list = *obj.find(name);
@@ -185,6 +206,12 @@ expandGrid(const GridSpec &g, const config::RunParams &base)
     }
     if (blocks.empty())
         fatal("axes lists no block");
+    if (!scales.empty())
+        for (const Block &b : blocks)
+            for (const Axis &a : b)
+                if (a.knob == &scaleKnob())
+                    fatal("scales and a 'scale' axis both set the scale; "
+                          "give one");
 
     // The base values: a knob -> value map every base point carries.
     std::map<const config::Knob *, config::KnobValue> norm;
@@ -275,22 +302,29 @@ expandGrid(const GridSpec &g, const config::RunParams &base)
     std::set<std::string> seen;
     for (const std::string &w : names) {
         auto sc = scales.find(w);
-        const int scale = sc == scales.end() ? g.scale : sc->second;
+        const int wScale = sc == scales.end() ? g.scale : sc->second;
         for (const Block &b : blocks) {
             // Axis values apply in registry order, presets first, like
             // the keys of a spec file (knob pointers all point into the
-            // registry's one knob array, so they compare in that order).
+            // registry's one knob array, so they compare in that order;
+            // the scale axis sets no knob, so its place is moot).
             std::vector<std::size_t> order(b.size());
             std::iota(order.begin(), order.end(), 0);
-            std::sort(order.begin(), order.end(),
-                      [&](auto x, auto y) { return b[x].knob < b[y].knob; });
+            std::sort(order.begin(), order.end(), [&](auto x, auto y) {
+                return std::less<>()(b[x].knob, b[y].knob);
+            });
 
             // Odometer over the block, last axis fastest.
             std::vector<std::size_t> idx(b.size(), 0);
             for (bool more = true; more;) {
                 config::RunParams p = base;
-                for (std::size_t i : order)
-                    b[i].knob->set(p, b[i].values[idx[i]]);
+                int scale = wScale;
+                for (std::size_t i : order) {
+                    if (b[i].knob == &scaleKnob())
+                        scale = static_cast<int>(b[i].values[idx[i]].i);
+                    else
+                        b[i].knob->set(p, b[i].values[idx[i]]);
+                }
 
                 RunSpec rs;
                 rs.workload = w;
@@ -301,8 +335,10 @@ expandGrid(const GridSpec &g, const config::RunParams &base)
                     b, [&](std::size_t i) { return b[i].values[idx[i]]; });
                 rs.group = w;
                 for (std::size_t m = 0; m < matching.size(); ++m)
-                    rs.group += (m ? "," : "/") + matching[m]->name +
-                                "=" + matching[m]->get(p).toString();
+                    rs.group += (m ? "," : "/") + matching[m]->name + "=" +
+                                (matching[m] == &scaleKnob()
+                                     ? std::to_string(scale)
+                                     : matching[m]->get(p).toString());
                 std::string key = strprintf(
                     "%s (scale %d) %s", rs.groupLabel().c_str(), scale,
                     rs.seriesLabel().c_str());

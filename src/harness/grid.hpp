@@ -42,7 +42,8 @@ struct GridSpec {
     /**
      * "axes": object of knob -> list of values, expanded as a
      * cartesian product (first axis outermost), or an array of such
-     * blocks whose union is the grid.
+     * blocks whose union is the grid. Besides registry knobs, an axis
+     * may be "scale", the workload scale of the block's points.
      */
     json::Value axes;
     /**
@@ -84,9 +85,10 @@ struct Grid {
  *
  * ConfigError names the offending flag or key on: an unknown suite or
  * workload, an empty or repeated workload list, a bad scale, both
- * schemes and axes given, an unknown axis knob (with a "did you
- * mean"), a value the knob rejects, a value listed twice, a duplicate
- * grid point, and a normalize knob or value that no axis carries.
+ * schemes and axes given, both scales and a scale axis given, an
+ * unknown axis knob (with a "did you mean"), a value the knob
+ * rejects, a value listed twice, a duplicate grid point, and a
+ * normalize knob or value that no axis carries.
  */
 Grid expandGrid(const GridSpec &g, const config::RunParams &base);
 

@@ -1,7 +1,5 @@
 #include "obs/observer.hpp"
 
-#include <sstream>
-
 namespace gex::obs {
 
 const char *
@@ -26,34 +24,6 @@ pipeEventName(PipeEventKind k)
       case PipeEventKind::ContextRestored: return "context-restored";
     }
     return "?";
-}
-
-std::vector<PipeEvent>
-LastKObserver::snapshot() const
-{
-    std::vector<PipeEvent> out;
-    out.reserve(buf_.size());
-    for (std::size_t i = 0; i < buf_.size(); ++i)
-        out.push_back(buf_[(head_ + i) % buf_.size()]);
-    return out;
-}
-
-std::string
-LastKObserver::render() const
-{
-    std::ostringstream os;
-    for (const PipeEvent &e : snapshot()) {
-        os << "    cycle " << e.cycle << " sm" << e.sm;
-        if (e.warp >= 0)
-            os << " w" << e.warp;
-        os << " " << pipeEventName(e.kind);
-        if (e.traceIdx != PipeEvent::kNoIndex)
-            os << " t" << e.traceIdx;
-        if (e.arg)
-            os << " arg=" << e.arg;
-        os << "\n";
-    }
-    return os.str();
 }
 
 } // namespace gex::obs

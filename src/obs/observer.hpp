@@ -97,49 +97,6 @@ class RecordingObserver : public PipelineObserver
     std::vector<PipeEvent> events;
 };
 
-/**
- * Bounded-memory observer keeping only the last K events, optionally
- * forwarding every event to a downstream observer (tee). The
- * forward-progress watchdog (gpu::Gpu) uses one to capture the tail of
- * the event stream for LivelockError/DeadlockError diagnostics without
- * growing memory with the run.
- */
-class LastKObserver : public PipelineObserver
-{
-  public:
-    explicit LastKObserver(std::size_t k = 64,
-                           PipelineObserver *next = nullptr)
-        : next_(next), cap_(k ? k : 1)
-    {
-        buf_.reserve(cap_);
-    }
-
-    void
-    event(const PipeEvent &e) override
-    {
-        if (next_)
-            next_->event(e);
-        if (buf_.size() < cap_) {
-            buf_.push_back(e);
-        } else {
-            buf_[head_] = e;
-            head_ = (head_ + 1) % cap_;
-        }
-    }
-
-    /** The retained events, oldest first. */
-    std::vector<PipeEvent> snapshot() const;
-
-    /** One "cycle sm/warp kind trace-idx [arg]" text line per event. */
-    std::string render() const;
-
-  private:
-    PipelineObserver *next_;
-    std::size_t cap_;
-    std::size_t head_ = 0; ///< index of the oldest event once full
-    std::vector<PipeEvent> buf_;
-};
-
 } // namespace gex::obs
 
 #endif // GEX_OBS_OBSERVER_HPP

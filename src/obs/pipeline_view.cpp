@@ -4,8 +4,8 @@
 
 namespace gex::obs {
 
-PipelineView::PipelineView(std::size_t capacity)
-    : cap_(capacity ? capacity : 1)
+PipelineView::PipelineView(std::size_t capacity, PipelineObserver *next)
+    : next_(next), cap_(capacity ? capacity : 1)
 {
     ring_.reserve(cap_);
 }
@@ -13,6 +13,8 @@ PipelineView::PipelineView(std::size_t capacity)
 void
 PipelineView::event(const PipeEvent &e)
 {
+    if (next_)
+        next_->event(e);
     if (warpFilter_ >= 0 && e.warp != warpFilter_)
         return;
     if (ring_.size() < cap_)

@@ -3,8 +3,9 @@
  * Textual pipeline view: an observer that keeps the last N
  * instruction-lifecycle events in a ring and renders them as a
  * human-readable table — the tool behind the paper's Figure 3/4/6/7
- * style walkthroughs (examples/pipeline_diagrams.cpp) and quick
- * "what did the pipeline just do" debugging.
+ * style walkthroughs (examples/pipeline_diagrams.cpp), gexsim-trace
+ * --view, and the event tail of the watchdog's and the sanitizer's
+ * diagnostics (gpu::Gpu builds one when watchdogCaptureEvents is set).
  */
 
 #ifndef GEX_OBS_PIPELINE_VIEW_HPP
@@ -22,8 +23,13 @@ namespace gex::obs {
 class PipelineView : public PipelineObserver
 {
   public:
-    /** Keep the most recent @p capacity events. */
-    explicit PipelineView(std::size_t capacity = 256);
+    /**
+     * Keep the most recent @p capacity events, first forwarding every
+     * event (unfiltered) to @p next when it is non-null, so the ring
+     * composes with another observer.
+     */
+    explicit PipelineView(std::size_t capacity = 256,
+                          PipelineObserver *next = nullptr);
 
     /** Optional: annotate rows with disassembly from @p p. */
     void setProgram(const isa::Program *p) { program_ = p; }
@@ -48,6 +54,7 @@ class PipelineView : public PipelineObserver
   private:
     const PipeEvent &at(std::size_t i) const; ///< i-th oldest retained
 
+    PipelineObserver *next_;
     std::size_t cap_;
     std::uint64_t count_ = 0; ///< events accepted since clear()
     std::vector<PipeEvent> ring_;

@@ -38,15 +38,4 @@ coalesce(const std::vector<Addr> &lane_addrs)
     return lines;
 }
 
-std::size_t
-coalescedCount(const std::vector<Addr> &lane_addrs)
-{
-    // A warp has at most kWarpSize lanes, so the working set fits on
-    // the stack; fall back to the allocating path for oversized input.
-    if (lane_addrs.size() > static_cast<std::size_t>(kWarpSize))
-        return coalesce(lane_addrs).size();
-    Addr lines[kWarpSize];
-    return coalesceLines(lane_addrs.data(), lane_addrs.size(), lines);
-}
-
 } // namespace gex::sm

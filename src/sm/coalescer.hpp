@@ -29,10 +29,6 @@ std::size_t coalesceLines(const Addr *lane_addrs, std::size_t n,
 /** Unique, sorted line addresses for a set of per-lane addresses. */
 std::vector<Addr> coalesce(const std::vector<Addr> &lane_addrs);
 
-/** Number of requests @p lane_addrs coalesces to (no heap allocation
- *  for warp-sized inputs). */
-std::size_t coalescedCount(const std::vector<Addr> &lane_addrs);
-
 } // namespace gex::sm
 
 #endif // GEX_SM_COALESCER_HPP

@@ -1,5 +1,7 @@
 #include "sm/lsu.hpp"
 
+#include "check/sanitizer.hpp"
+
 namespace gex::sm {
 
 Lsu::Lsu(const gpu::SmConfig &cfg, MemorySystem &sys)
@@ -34,7 +36,8 @@ Lsu::accessForData(const isa::Instruction &inst, Addr line, Cycle earliest)
 MemTimeline
 Lsu::processGlobal(const isa::Instruction &inst, const trace::TraceInst &ti,
                    const Addr *lines, Cycle op_read_done,
-                   bool stall_on_fault, Cycle fault_retry_latency)
+                   bool stall_on_fault, Cycle fault_retry_latency,
+                   int warp)
 {
     ++instsProcessed_;
     MemTimeline tl;
@@ -67,12 +70,13 @@ Lsu::processGlobal(const isa::Instruction &inst, const trace::TraceInst &ti,
             continue;
         }
 
-        // Page fault on this request.
+        // Page fault on this request. A later request of the same
+        // instruction may legally refill the TLBs with this page once
+        // its pending fault entry expires, so the sanitizer looks now.
         ++faults_;
-        if (tr.detect < tl.faultDetect) {
-            tl.faultDetect = tr.detect;
-            tl.faultPage = page;
-        }
+        if (san_)
+            san_->onFaultedTranslation(smId_, warp, page, tlb_, xlate_start);
+        tl.faultDetect = std::min(tl.faultDetect, tr.detect);
         tl.resolveAll = std::max(tl.resolveAll, tr.resolve);
         if (tl.kind == vm::FaultKind::None ||
             tr.kind == vm::FaultKind::GpuAlloc)

@@ -16,6 +16,10 @@
 #include "trace/trace.hpp"
 #include "vm/tlb.hpp"
 
+namespace gex::check {
+class SimSanitizer;
+} // namespace gex::check
+
 namespace gex::sm {
 
 /**
@@ -50,8 +54,6 @@ struct MemTimeline {
     Cycle resolveAll = 0;
     /** Most significant fault kind (GpuAlloc > Migration > ...). */
     vm::FaultKind kind = vm::FaultKind::None;
-    /** Page of the earliest-detected fault (sanitizer TLB probe). */
-    Addr faultPage = kBadAddr;
     /** Pending-fault queue depth at first detect (UC1 input). */
     int queueDepth = 0;
 };
@@ -73,12 +75,23 @@ class Lsu
      * @param stall_on_fault  baseline semantics: faulted requests wait
      *        for resolution and retry inside the pipeline, so the
      *        returned timeline never reports a fault.
+     * @param warp  the issuing warp, named in a sanitizer report.
      */
     MemTimeline processGlobal(const isa::Instruction &inst,
                               const trace::TraceInst &ti,
                               const Addr *lines, Cycle op_read_done,
                               bool stall_on_fault,
-                              Cycle fault_retry_latency);
+                              Cycle fault_retry_latency, int warp = -1);
+
+    /**
+     * Under --check: every faulting request asks @p san whether a TLB
+     * cached its page, while the TLBs are as that request left them.
+     */
+    void setSanitizer(check::SimSanitizer *san, int sm)
+    {
+        san_ = san;
+        smId_ = sm;
+    }
 
     /** One LSU instruction slot per cycle. */
     Cycle reserveIssueSlot(Cycle earliest) { return port_.reserve(earliest); }
@@ -102,6 +115,8 @@ class Lsu
     mem::Port port_;       ///< 1 memory instruction per cycle
     mem::Port xlatePort_;  ///< translations per cycle
     Cycle frontendCycles_; ///< address calc + coalescing queue depth
+    check::SimSanitizer *san_ = nullptr;
+    int smId_ = -1;
 
     std::uint64_t instsProcessed_ = 0;
     std::uint64_t requests_ = 0;

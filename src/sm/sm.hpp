@@ -124,7 +124,11 @@ class Sm
      * (event heap, block installs, faulting translations) that never
      * surface as pipeline events.
      */
-    void setSanitizer(check::SimSanitizer *s) { st_.san = s; }
+    void setSanitizer(check::SimSanitizer *s)
+    {
+        st_.san = s;
+        st_.lsu.setSanitizer(s, st_.smId);
+    }
 
     /** Read-only pipeline state (drain checks, log partition size). */
     const PipelineState &state() const { return st_; }

@@ -165,11 +165,8 @@ IssueStage::tryIssueHead(int w, Cycle now)
         // L1/L2/DRAM access.
         in.mem = st_.lsu.processGlobal(si, ti, wr.tr->lines(ti), op_read,
                                        st_.policy.stallFaultsInPipeline(),
-                                       st_.cfg.faultRetryLatency);
+                                       st_.cfg.faultRetryLatency, w);
         if (in.mem.faulted) {
-            if (st_.san)
-                st_.san->onFaultedTranslation(st_.smId, w, in.mem.faultPage,
-                                              st_.lsu.l1Tlb(), now);
             st_.scheduleInstEvent(in.mem.faultDetect, EvKind::FaultReact, w,
                                   id);
             // The seq a Commit would have taken stays unused, so every

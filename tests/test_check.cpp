@@ -209,6 +209,44 @@ TEST(CheckedRegressions, ReplayedEntriesSurviveASecondFault)
     EXPECT_NO_THROW(oracle.verifyReplay());
 }
 
+// One instruction took a joined fault on a page; a later request of
+// the same instruction translated that page after the pending fault
+// entry expired and legally refilled the L1 TLB. The TLB caching check
+// ran after the whole instruction, saw the refill and reported a
+// cached faulting translation (the CLI spelling below exited 7 with
+// "L1 TLB holds the faulting translation of page 0x1055"). It now
+// looks at the faulting request, so the run passes, at the pinned
+// result.
+TEST(CheckedRegressions, TlbRefillAfterAnExpiredFaultIsNotCached)
+{
+    // gexsim-run --workload sgemm --scheme operand-log --sms 2 --check
+    //   --log-kb 32 --block-switching --sm.lsu-queue-depth 8
+    //   --l1tlb.entries 16 --policy.outputs untouched
+    const config::KnobRegistry &reg = config::KnobRegistry::instance();
+    config::RunParams p;
+    for (const auto &[name, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"scheme", "operand-log"},
+             {"sms", "2"},
+             {"check", "true"},
+             {"operand-log-kb", "32"},
+             {"block-switching", "true"},
+             {"sm.lsu-queue-depth", "8"},
+             {"l1tlb.entries", "16"},
+             {"policy.outputs", "untouched"}}) {
+        const config::Knob *k = reg.find(name);
+        ASSERT_NE(k, nullptr) << name;
+        k->set(p, k->parseText(name, value));
+    }
+    const harness::TracedWorkload &tw = cache().get("sgemm");
+    gpu::Gpu g(p.cfg);
+    gpu::SimResult r;
+    ASSERT_NO_THROW(r = g.run(tw.kernel, tw.trace, p.policy));
+    EXPECT_EQ(r.cycles, 134765u);
+    EXPECT_EQ(r.instructions, 287232u);
+    EXPECT_EQ(r.stats.get("mmu.joined_faults"), 178.0);
+}
+
 // --- Architectural oracle -------------------------------------------
 
 TEST(ArchOracleContract, ReplayAndTimingPassOnAHealthyRun)

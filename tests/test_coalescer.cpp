@@ -63,12 +63,6 @@ TEST(Coalescer, ResultSortedUnique)
     EXPECT_EQ(lines[2], 512u);
 }
 
-TEST(Coalescer, CountMatchesCoalesce)
-{
-    std::vector<Addr> addrs = {0, 8, 128, 4096};
-    EXPECT_EQ(coalescedCount(addrs), coalesce(addrs).size());
-}
-
 TEST(Coalescer, SortFreePassMatchesSortUnique)
 {
     // coalesceLines skips the sort when the lanes' lines never fall;
@@ -107,7 +101,6 @@ TEST(Coalescer, SortFreePassMatchesSortUnique)
         ASSERT_EQ(std::vector<Addr>(lines, lines + k), want)
             << "iteration " << iter;
         ASSERT_EQ(coalesce(addrs), want);
-        ASSERT_EQ(coalescedCount(addrs), want.size());
     }
 }
 

@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for configuration knobs added beyond the paper's fixed
- * setup: warp scheduler policy, migration granularity, SM count,
- * and the Table 1 describe() output.
+ * setup: warp scheduler policy, migration granularity and SM count.
  */
 
 #include <gtest/gtest.h>
@@ -34,16 +33,6 @@ buildShared(const std::string &name)
         it = cache.emplace(name, std::move(bt)).first;
     }
     return it->second.get();
-}
-
-TEST(ConfigDescribe, ContainsTable1Parameters)
-{
-    std::string d = gpu::GpuConfig::baseline().describe();
-    EXPECT_NE(d.find("Max Warps            64"), std::string::npos);
-    EXPECT_NE(d.find("Register File        256KB"), std::string::npos);
-    EXPECT_NE(d.find("Number of SMs        16"), std::string::npos);
-    EXPECT_NE(d.find("Walking latency      500"), std::string::npos);
-    EXPECT_NE(d.find("DRAM bandwidth       256 GB/s"), std::string::npos);
 }
 
 TEST(SchedPolicy, BothPoliciesCompleteIdenticalWork)

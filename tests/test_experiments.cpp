@@ -99,6 +99,8 @@ const std::map<std::string, std::pair<std::size_t, std::uint64_t>>
         {"fig12", {66, 0x0bf3b7013f3da90cull}},
         {"fig13", {20, 0xbdbf7a577522578bull}},
         {"fig14", {44, 0x14505d78ef6bdabaull}},
+        {"scal-sms", {18, 0x7cc89408ea6d60f9ull}},
+        {"scal-sms-uc2", {12, 0x2961eef53e0fd835ull}},
 };
 
 TEST(Experiments, EverySpecReproducesItsPinnedGrid)
@@ -176,6 +178,50 @@ TEST(Experiments, NormalizeValueNoAxisCarriesIsRejected)
                   " \"normalize\": {\"sms\": 16}}");
     EXPECT_NE(msg.find("no axis carries sms=16"), std::string::npos)
         << msg;
+}
+
+TEST(Experiments, ScaleAxisSetsEachPointsScale)
+{
+    // Weak scaling: the workload grows with the machine, and each
+    // (sms, scale) pair is its own normalization group.
+    harness::Grid g = gridOf(
+        {"--config",
+         std::string(GEX_EXPERIMENTS_DIR) + "/scal-sms-uc2.json",
+         "--workloads", "ha-prob"});
+    ASSERT_EQ(g.points.size(), 6u);
+    EXPECT_EQ(g.baseSeries, "policy=heap-faults");
+    EXPECT_EQ(g.points[0].scale, 1);
+    EXPECT_EQ(g.points[3].scale, 2);
+    EXPECT_EQ(g.points[3].cfg.numSms, 16);
+    EXPECT_EQ(g.points[3].groupLabel(), "ha-prob/sms=16,scale=2");
+    EXPECT_EQ(g.points[3].seriesLabel(), "policy=heap-faults-local");
+    EXPECT_EQ(g.points[5].scale, 4);
+}
+
+TEST(Experiments, ScalesAndScaleAxisAreExclusive)
+{
+    const std::string msg =
+        errorOf("{\"scales\": {\"bfs\": 2},"
+                " \"axes\": {\"scale\": [1, 2]}}");
+    EXPECT_NE(msg.find("scales and a 'scale' axis"), std::string::npos)
+        << msg;
+}
+
+TEST(Experiments, OutOfRangeScaleAxisIsRejected)
+{
+    std::string msg = errorOf("{\"axes\": {\"scale\": [1, 0]}}");
+    EXPECT_NE(msg.find("'scale' must be in"), std::string::npos) << msg;
+    msg = errorOf("{\"axes\": {\"scale\": [1.5]}}");
+    EXPECT_NE(msg.find("'scale' needs an integer"), std::string::npos)
+        << msg;
+}
+
+TEST(Experiments, DuplicateScalePointIsRejected)
+{
+    const std::string msg =
+        errorOf("{\"workloads\": [\"bfs\"], \"axes\": ["
+                "{\"scale\": [1, 2]}, {\"scale\": [2]}]}");
+    EXPECT_NE(msg.find("duplicate grid point"), std::string::npos) << msg;
 }
 
 TEST(Experiments, SchemesAndAxesAreExclusive)

@@ -378,6 +378,24 @@ TEST(Observer, PipelineViewWarpFilter)
     EXPECT_EQ(view.totalEvents(), 1u);
 }
 
+TEST(Observer, PipelineViewForwardsEveryEventToNext)
+{
+    // The ring tees: the downstream observer sees every event, the
+    // warp filter only narrows what the ring keeps.
+    obs::RecordingObserver next;
+    obs::PipelineView view(2, &next);
+    view.filterWarp(1);
+    PipeEvent e;
+    e.kind = PipeEventKind::Issued;
+    for (int w : {0, 1, 1, 1, 2}) {
+        e.warp = w;
+        view.event(e);
+    }
+    EXPECT_EQ(next.events.size(), 5u);
+    EXPECT_EQ(view.totalEvents(), 3u);
+    EXPECT_EQ(view.size(), 2u);
+}
+
 TEST(Observer, EventNamesAreKebabCaseAndDistinct)
 {
     std::vector<std::string> names;

@@ -71,25 +71,6 @@ makeVecadd(func::GlobalMemory &mem, vm::AddressSpace &as, int scale)
     return k;
 }
 
-/** Forward each event to both consumers. */
-class TeeObserver : public obs::PipelineObserver
-{
-  public:
-    TeeObserver(obs::PipelineObserver &a, obs::PipelineObserver &b)
-        : a_(a), b_(b)
-    {}
-    void
-    event(const obs::PipeEvent &e) override
-    {
-        a_.event(e);
-        b_.event(e);
-    }
-
-  private:
-    obs::PipelineObserver &a_;
-    obs::PipelineObserver &b_;
-};
-
 int
 toolMain(int argc, char **argv)
 {
@@ -147,15 +128,13 @@ toolMain(int argc, char **argv)
 
     obs::ChromeTraceWriter trace_writer;
     trace_writer.setProgram(&kernel.program);
-    obs::PipelineView pview(
-        static_cast<std::size_t>(view > 0 ? view : 1));
+    obs::PipelineView pview(static_cast<std::size_t>(view > 0 ? view : 1),
+                            &trace_writer);
     pview.setProgram(&kernel.program);
-    TeeObserver tee(trace_writer, pview);
 
     gpu::Gpu g(params.cfg);
-    g.setObserver(view > 0
-                      ? static_cast<obs::PipelineObserver *>(&tee)
-                      : &trace_writer);
+    g.setObserver(view > 0 ? static_cast<obs::PipelineObserver *>(&pview)
+                           : &trace_writer);
     auto r = g.run(kernel, tr, params.policy);
 
     std::ofstream out(traceOut);
