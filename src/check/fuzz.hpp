@@ -1,16 +1,17 @@
 /**
  * @file
  * Differential fuzz campaigns over the simulator itself
- * (docs/VALIDATION.md): CounterRng-seeded random points in the
- * (workload, policy, fault model, knob) space, each executed under all
- * five exception schemes with the invariant sanitizer on, checked
- * against the architectural oracle. Any failure is greedily shrunk to a minimal
- * reproducer and serialized as a spec.json one `gexsim-run --config`
- * invocation replays.
+ * (docs/VALIDATION.md): CounterRng-seeded random points of an
+ * experiment spec's case space (experiments/fuzz/cases.json), each
+ * executed under all five exception schemes with the invariant
+ * sanitizer on, checked against the architectural oracle. Any failure
+ * is greedily shrunk to a minimal reproducer and serialized as a
+ * spec.json one `gexsim-run --config` invocation replays.
  *
- * Case generation is a pure function of (campaign seed, case index):
- * re-running a campaign with the same seed regenerates the same cases
- * in the same order, so a reported failing index is itself a repro.
+ * Case generation is a pure function of (campaign seed, case index,
+ * spec): re-running a campaign with the same seed and spec regenerates
+ * the same cases in the same order, so a reported failing index is
+ * itself a repro.
  */
 
 #ifndef GEX_CHECK_FUZZ_HPP
@@ -23,9 +24,12 @@
 
 #include "config/knob_registry.hpp"
 #include "gpu/config.hpp"
+#include "harness/grid.hpp"
 #include "harness/sweep.hpp"
 
 namespace gex::check {
+
+class ArchOracle;
 
 /** One generated fuzz point (scheme is chosen by the runner). */
 struct FuzzCase {
@@ -33,6 +37,7 @@ struct FuzzCase {
     int scale = 1;
     config::RunParams params;
     std::uint64_t index = 0; ///< case index within the campaign
+    std::vector<std::string> axes; ///< the case's axes, in spec order
 };
 
 /** A failed case, pinned to the scheme that failed. */
@@ -45,24 +50,22 @@ struct FuzzFailure {
 struct FuzzOptions {
     std::uint64_t seed = 1;
     int cases = 20;
-    /** Workload pool; empty = a curated fast subset. */
-    std::vector<std::string> workloads;
-    /** Attach the event capture ring to every run's sanitizer. */
-    bool captureEvents = true;
+    harness::GridSpec grid;  ///< the case space: workloads and axes
+    config::RunParams base;  ///< the spec's values outside the axes
 };
 
 class FuzzCampaign
 {
   public:
+    /** ConfigError on a spec without axes or with a scheme axis. */
     explicit FuzzCampaign(FuzzOptions opt);
 
-    const FuzzOptions &options() const { return opt_; }
-
-    /** The curated default workload pool. */
-    static const std::vector<std::string> &defaultWorkloads();
-
-    /** Deterministically generate case @p index of this campaign. */
-    FuzzCase generate(std::uint64_t index) const;
+    /**
+     * Draw case @p index (harness::sampleGrid), sanitizer on; axes in
+     * @p atBase keep their base value.
+     */
+    FuzzCase generate(std::uint64_t index,
+                      const std::vector<std::string> &atBase = {}) const;
 
     /**
      * Execute @p c under every scheme: sanitizer on, oracle replay +
@@ -81,10 +84,9 @@ class FuzzCampaign
              = {});
 
     /**
-     * Greedy shrink: try resetting each non-default knob (fault model
-     * first, then UC1/UC2 switches, then machine-shape knobs) and keep
-     * every reset under which the case still fails. The result fails
-     * for the same scheme with a minimal set of non-default knobs.
+     * Greedy shrink: reset the case's axes in spec order, each to its
+     * base value, keeping every reset under which the case still fails
+     * for the same scheme.
      */
     FuzzCase shrink(const FuzzFailure &f);
 
@@ -101,7 +103,7 @@ class FuzzCampaign
   private:
     /** Run one scheme of one case; false fills @p fail. */
     bool runScheme(const FuzzCase &c, gpu::Scheme scheme,
-                   FuzzFailure *fail);
+                   const ArchOracle &oracle, FuzzFailure *fail);
 
     FuzzOptions opt_;
     harness::TraceCache cache_;

@@ -139,6 +139,17 @@ KnobValue::toString() const
     return "?";
 }
 
+void
+KnobValue::writeJson(json::Writer &w) const
+{
+    switch (type) {
+    case KnobType::Int: w.value(static_cast<std::uint64_t>(i)); break;
+    case KnobType::Real: w.value(r); break;
+    case KnobType::Bool: w.value(b); break;
+    case KnobType::Enum: w.value(e); break;
+    }
+}
+
 // --- Knob ------------------------------------------------------------
 
 std::string
@@ -823,18 +834,24 @@ KnobRegistry::writeManifest(json::Writer &w, const RunParams &p) const
     for (const Knob &k : knobs_) {
         if (k.preset || k.execOnly)
             continue;
-        KnobValue v = k.get(p);
         w.key(k.name);
-        switch (v.type) {
-        case KnobType::Int:
-            w.value(static_cast<std::uint64_t>(v.i));
-            break;
-        case KnobType::Real: w.value(v.r); break;
-        case KnobType::Bool: w.value(v.b); break;
-        case KnobType::Enum: w.value(v.e); break;
-        }
+        k.get(p).writeJson(w);
     }
     w.endObject();
+}
+
+std::vector<std::pair<const Knob *, KnobValue>>
+KnobRegistry::changed(const RunParams &p) const
+{
+    std::vector<std::pair<const Knob *, KnobValue>> out;
+    for (const Knob &k : knobs_) {
+        if (k.preset)
+            continue;
+        KnobValue v = k.get(p);
+        if (v != k.def)
+            out.emplace_back(&k, std::move(v));
+    }
+    return out;
 }
 
 std::uint64_t

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gpu/config.hpp"
@@ -88,6 +89,9 @@ struct KnobValue {
 
     /** Canonical text form ("16", "0.01", "true", "replay-queue"). */
     std::string toString() const;
+
+    /** Native JSON form; integers unsigned (no knob range is negative). */
+    void writeJson(json::Writer &w) const;
 };
 
 /** One registered knob. */
@@ -192,6 +196,14 @@ class KnobRegistry
      * state exactly.
      */
     void writeManifest(json::Writer &w, const RunParams &p) const;
+
+    /**
+     * The non-preset knobs of @p p off their defaults, execution-only
+     * ones included, in registry order: set over RunParams::baseline(),
+     * they rebuild @p p, armed checkers and all.
+     */
+    std::vector<std::pair<const Knob *, KnobValue>>
+    changed(const RunParams &p) const;
 
     /**
      * FNV-1a digest over (name, typed value) of every digested knob

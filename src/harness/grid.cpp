@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "config/cli.hpp"
+#include "inject/rng.hpp"
 #include "workloads/workloads.hpp"
 
 namespace gex::harness {
@@ -22,6 +23,9 @@ struct Axis {
 
 /** One object of "axes": its axes in file order. */
 using Block = std::vector<Axis>;
+
+/** The value index of an axis that keeps its base value. */
+constexpr std::size_t kAtBase = SIZE_MAX;
 
 /**
  * The "scale" axis. A point's scale is a grid key (RunSpec::scale),
@@ -129,48 +133,17 @@ parseScales(const json::Value &v)
     return out;
 }
 
-} // namespace
-
-void
-addGridOptions(cli::ArgParser &p, GridSpec &g)
+/**
+ * The blocks of @p g's axes, or of its --schemes shorthand; @p axesKey
+ * receives the name diagnostics give them.
+ */
+std::vector<Block>
+parseAxes(const GridSpec &g, const std::map<std::string, int> &scales,
+          std::string &axesKey)
 {
-    p.option("--suite", "S", "parboil | halloc | all (default parboil)",
-             [&g](const std::string &v) { g.suite = v; }, "suite");
-    p.option("--workloads", "A,B,C",
-             "explicit workload list (overrides --suite)",
-             [&g](const std::string &v) { g.workloads = cli::splitCsv(v); },
-             "workloads");
-    p.option("--schemes", "A,B,C",
-             "scheme axis (default all five; exclusive with axes)",
-             [&g](const std::string &v) { g.schemes = cli::splitCsv(v); },
-             "schemes");
-    p.option("--scale", "N",
-             "scale of the workloads scales does not name (default 1)",
-             [&g](const std::string &v) {
-                 g.scale = cli::parseIntFlag("--scale", v, 1, 1 << 20);
-             },
-             "scale");
-    p.specKey("axes",
-              "grid: knob -> value list (cartesian product), or a list "
-              "of such blocks (union)",
-              [&g](const json::Value &v) { g.axes = v; });
-    p.specKey("scales", "grid: workload -> scale",
-              [&g](const json::Value &v) { g.scales = v; });
-    p.specKey("normalize",
-              "grid: knob -> value of the base points (default: first "
-              "value of the first axis)",
-              [&g](const json::Value &v) { g.normalize = v; });
-}
-
-Grid
-expandGrid(const GridSpec &g, const config::RunParams &base)
-{
-    const std::vector<std::string> names = resolveWorkloads(g);
-    const std::map<std::string, int> scales = parseScales(g.scales);
-
     // --schemes is shorthand for a one-axis grid over the scheme knob.
     json::Value axes = g.axes;
-    std::string axesKey = "axes";
+    axesKey = "axes";
     if (axes.isNull()) {
         if (g.schemes && g.schemes->empty())
             fatal("--schemes names no scheme");
@@ -212,6 +185,77 @@ expandGrid(const GridSpec &g, const config::RunParams &base)
                 if (a.knob == &scaleKnob())
                     fatal("scales and a 'scale' axis both set the scale; "
                           "give one");
+    return blocks;
+}
+
+/**
+ * Apply the values @p idx picks (kAtBase: none) on @p b's axes over
+ * @p p in registry order, presets first, like the keys of a spec file
+ * (knob pointers all point into the registry's one knob array, so they
+ * compare in that order). Returns the scale a scale axis sets, else
+ * @p scale.
+ */
+int
+applyPoint(const Block &b, const std::vector<std::size_t> &idx,
+           config::RunParams &p, int scale)
+{
+    std::vector<std::size_t> order(b.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](auto x, auto y) {
+        return std::less<>()(b[x].knob, b[y].knob);
+    });
+    for (std::size_t i : order) {
+        if (idx[i] == kAtBase)
+            continue;
+        if (b[i].knob == &scaleKnob())
+            scale = static_cast<int>(b[i].values[idx[i]].i);
+        else
+            b[i].knob->set(p, b[i].values[idx[i]]);
+    }
+    return scale;
+}
+
+} // namespace
+
+void
+addGridOptions(cli::ArgParser &p, GridSpec &g)
+{
+    p.option("--suite", "S", "parboil | halloc | all (default parboil)",
+             [&g](const std::string &v) { g.suite = v; }, "suite");
+    p.option("--workloads", "A,B,C",
+             "explicit workload list (overrides --suite)",
+             [&g](const std::string &v) { g.workloads = cli::splitCsv(v); },
+             "workloads");
+    p.option("--schemes", "A,B,C",
+             "scheme axis (default all five; exclusive with axes)",
+             [&g](const std::string &v) { g.schemes = cli::splitCsv(v); },
+             "schemes");
+    p.option("--scale", "N",
+             "scale of the workloads scales does not name (default 1)",
+             [&g](const std::string &v) {
+                 g.scale = cli::parseIntFlag("--scale", v, 1, 1 << 20);
+             },
+             "scale");
+    p.specKey("axes",
+              "grid: knob -> value list (cartesian product), or a list "
+              "of such blocks (union)",
+              [&g](const json::Value &v) { g.axes = v; });
+    p.specKey("scales", "grid: workload -> scale",
+              [&g](const json::Value &v) { g.scales = v; });
+    p.specKey("normalize",
+              "grid: knob -> value of the base points (default: first "
+              "value of the first axis)",
+              [&g](const json::Value &v) { g.normalize = v; });
+}
+
+Grid
+expandGrid(const GridSpec &g, const config::RunParams &base)
+{
+    const std::vector<std::string> names = resolveWorkloads(g);
+    const std::map<std::string, int> scales = parseScales(g.scales);
+
+    std::string axesKey;
+    const std::vector<Block> blocks = parseAxes(g, scales, axesKey);
 
     // The base values: a knob -> value map every base point carries.
     std::map<const config::Knob *, config::KnobValue> norm;
@@ -304,27 +348,11 @@ expandGrid(const GridSpec &g, const config::RunParams &base)
         auto sc = scales.find(w);
         const int wScale = sc == scales.end() ? g.scale : sc->second;
         for (const Block &b : blocks) {
-            // Axis values apply in registry order, presets first, like
-            // the keys of a spec file (knob pointers all point into the
-            // registry's one knob array, so they compare in that order;
-            // the scale axis sets no knob, so its place is moot).
-            std::vector<std::size_t> order(b.size());
-            std::iota(order.begin(), order.end(), 0);
-            std::sort(order.begin(), order.end(), [&](auto x, auto y) {
-                return std::less<>()(b[x].knob, b[y].knob);
-            });
-
             // Odometer over the block, last axis fastest.
             std::vector<std::size_t> idx(b.size(), 0);
             for (bool more = true; more;) {
                 config::RunParams p = base;
-                int scale = wScale;
-                for (std::size_t i : order) {
-                    if (b[i].knob == &scaleKnob())
-                        scale = static_cast<int>(b[i].values[idx[i]].i);
-                    else
-                        b[i].knob->set(p, b[i].values[idx[i]]);
-                }
+                const int scale = applyPoint(b, idx, p, wScale);
 
                 RunSpec rs;
                 rs.workload = w;
@@ -359,6 +387,43 @@ expandGrid(const GridSpec &g, const config::RunParams &base)
         }
     }
     return grid;
+}
+
+RunSpec
+sampleGrid(const GridSpec &g, const config::RunParams &base,
+           std::uint64_t seed, std::uint64_t index,
+           const std::vector<std::string> &atBase,
+           std::vector<std::string> *axes)
+{
+    const std::vector<std::string> names = resolveWorkloads(g);
+    const std::map<std::string, int> scales = parseScales(g.scales);
+    std::string axesKey;
+    const std::vector<Block> blocks = parseAxes(g, scales, axesKey);
+
+    const inject::CounterRng rng(seed, index);
+    std::uint64_t draw = 0;
+    RunSpec rs;
+    rs.workload = names[rng.at(draw++) % names.size()];
+    const Block &b = blocks.size() == 1
+                         ? blocks[0]
+                         : blocks[rng.at(draw++) % blocks.size()];
+    std::vector<std::size_t> idx;
+    for (const Axis &a : b) {
+        const std::size_t i = rng.at(draw++) % a.values.size();
+        rs.series += (rs.series.empty() ? "" : ",") + a.knob->name + "=" +
+                     a.values[i].toString();
+        idx.push_back(std::count(atBase.begin(), atBase.end(),
+                                 a.knob->name) ? kAtBase : i);
+        if (axes)
+            axes->push_back(a.knob->name);
+    }
+
+    config::RunParams p = base;
+    auto sc = scales.find(rs.workload);
+    rs.scale = applyPoint(b, idx, p, sc == scales.end() ? g.scale : sc->second);
+    rs.cfg = p.cfg;
+    rs.policy = p.policy;
+    return rs;
 }
 
 } // namespace gex::harness

@@ -3,13 +3,15 @@
  * Experiment grids as data: the workload list, per-workload scales,
  * knob axes and normalization base of a JSON experiment spec
  * (docs/CONFIGURATION.md, "Grids"), validated and expanded into the
- * SweepEngine points of one campaign. Every paper figure is one such
- * spec under experiments/.
+ * SweepEngine points of one campaign, or sampled one point at a time.
+ * Every paper figure is one such spec under experiments/, and
+ * gexsim-check's fuzz case space is one under experiments/fuzz/.
  */
 
 #ifndef GEX_HARNESS_GRID_HPP
 #define GEX_HARNESS_GRID_HPP
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -91,6 +93,21 @@ struct Grid {
  * normalize knob or value that no axis carries.
  */
 Grid expandGrid(const GridSpec &g, const config::RunParams &base);
+
+/**
+ * Draw point @p index of @p g instead of expanding it, for grids too
+ * large to run whole (experiments/fuzz/cases.json). A pure function of
+ * (@p seed, @p index, @p g, @p base): of inject::CounterRng(seed,
+ * index), one draw picks the workload, one more the block when axes is
+ * a list, then one per axis its value. Validation and application are
+ * expandGrid's; normalize is not read. The series lists the drawn
+ * values ("sms=2,policy=resident"); @p axes receives the block's axis
+ * names, in spec order. Axes named in @p atBase keep their base value.
+ */
+RunSpec sampleGrid(const GridSpec &g, const config::RunParams &base,
+                   std::uint64_t seed, std::uint64_t index,
+                   const std::vector<std::string> &atBase = {},
+                   std::vector<std::string> *axes = nullptr);
 
 } // namespace gex::harness
 

@@ -194,7 +194,7 @@ SweepEngine::run()
 
 void
 normalizeToSeries(std::vector<RunRecord> &runs,
-                  const std::string &baseSeries, const std::string &key)
+                  const std::string &baseSeries)
 {
     std::map<std::string, double> baseCycles;
     for (const RunRecord &r : runs)
@@ -207,25 +207,36 @@ normalizeToSeries(std::vector<RunRecord> &runs,
         auto it = baseCycles.find(r.spec.groupLabel());
         if (it == baseCycles.end() || r.result.cycles == 0)
             continue;
-        r.derived[key] =
+        r.derived["normalized"] =
             it->second / static_cast<double>(r.result.cycles);
     }
 }
 
-std::map<std::string, double>
-seriesGeomeans(const std::vector<RunRecord> &runs, const std::string &key)
+std::string
+groupSuffix(const RunSpec &rs)
 {
-    std::map<std::string, std::vector<double>> bySeries;
+    return rs.groupLabel().substr(rs.workload.size());
+}
+
+std::string
+geomeanKey(const std::string &suffix, const std::string &series)
+{
+    return suffix.empty() ? series : suffix.substr(1) + "," + series;
+}
+
+std::map<std::string, double>
+seriesGeomeans(const std::vector<RunRecord> &runs)
+{
+    std::map<std::string, std::vector<double>> byKey;
     for (const RunRecord &r : runs) {
-        if (!r.ok())
-            continue;
-        auto it = r.derived.find(key);
-        if (it != r.derived.end() && it->second > 0.0)
-            bySeries[r.spec.seriesLabel()].push_back(it->second);
+        auto it = r.derived.find("normalized");
+        if (r.ok() && it != r.derived.end() && it->second > 0.0)
+            byKey[geomeanKey(groupSuffix(r.spec), r.spec.seriesLabel())]
+                .push_back(it->second);
     }
     std::map<std::string, double> out;
-    for (const auto &kv : bySeries)
-        out[kv.first] = geomean(kv.second);
+    for (const auto &[key, xs] : byKey)
+        out[key] = geomean(xs);
     return out;
 }
 

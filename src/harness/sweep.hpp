@@ -196,23 +196,30 @@ class SweepEngine
 };
 
 /**
- * For every group, set derived[@p key] = base.cycles / run.cycles on
- * each run, where base is the group's run in @p baseSeries (the usual
- * "normalized to baseline, higher is better" metric of the paper's
- * figures). Groups without a base run are left untouched.
+ * For every group, set derived["normalized"] = base.cycles / run.cycles
+ * on each run, where base is the group's run in @p baseSeries (the
+ * paper figures' "normalized to baseline, higher is better" metric).
+ * Groups without a base run are left untouched.
  */
 void normalizeToSeries(std::vector<RunRecord> &runs,
-                       const std::string &baseSeries,
-                       const std::string &key = "normalized");
+                       const std::string &baseSeries);
+
+/** A run's group label past its workload ("/sms=16" of "lbm/sms=16"). */
+std::string groupSuffix(const RunSpec &rs);
 
 /**
- * Geometric mean of derived[@p key] per series, over the runs that
- * carry the key (e.g. fig10's per-scheme geomean row). Series with no
- * such runs are absent from the result.
+ * "link=pcie,replay-queue" for suffix "/link=pcie" and series
+ * "replay-queue"; the plain series when the suffix is empty.
+ */
+std::string geomeanKey(const std::string &suffix, const std::string &series);
+
+/**
+ * Geometric mean of derived["normalized"] per geomeanKey over the Ok
+ * runs that carry it, i.e. over the workloads (fig10's per-scheme
+ * GEOMEAN row). Keys with no such runs are absent.
  */
 std::map<std::string, double>
-seriesGeomeans(const std::vector<RunRecord> &runs,
-               const std::string &key = "normalized");
+seriesGeomeans(const std::vector<RunRecord> &runs);
 
 /**
  * A complete sweep outcome: metadata + per-run records + summary

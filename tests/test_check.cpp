@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "check/fuzz.hpp"
 #include "check/oracle.hpp"
@@ -20,6 +23,7 @@
 #include "config/knob_registry.hpp"
 #include "func/memory.hpp"
 #include "gpu/gpu.hpp"
+#include "harness/grid.hpp"
 #include "harness/sweep.hpp"
 #include "trace/trace.hpp"
 
@@ -372,9 +376,50 @@ TEST(ArchOracleContract, MemDigestIgnoresTouchOrder)
 
 // --- Differential fuzz campaign -------------------------------------
 
+const std::string kCases = std::string(GEX_EXPERIMENTS_DIR) +
+                           "/fuzz/cases.json";
+
+/** The campaign options of a gexsim-check command line. */
+check::FuzzOptions
+fuzzOptionsOf(std::vector<std::string> args)
+{
+    check::FuzzOptions o;
+    cli::ArgParser ap("t", "test");
+    harness::addGridOptions(ap, o.grid);
+    ap.bindKnobs(&o.base);
+    args.insert(args.begin(), "t");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    ap.parse(static_cast<int>(argv.size()), argv.data());
+    return o;
+}
+
+/** A campaign over the spec @p text. */
+check::FuzzCampaign
+campaignOf(const std::string &text)
+{
+    const std::string path = ::testing::TempDir() + "fuzz_spec.json";
+    std::ofstream(path) << text;
+    return check::FuzzCampaign(fuzzOptionsOf({"--config", path}));
+}
+
+/** The ConfigError text of building a campaign over @p text. */
+std::string
+campaignErrorOf(const std::string &text)
+{
+    try {
+        campaignOf(text);
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(cli::exitCodeFor(e), cli::ExitConfig);
+        return e.what();
+    }
+    return "";
+}
+
 TEST(FuzzCampaign, GenerationIsDeterministic)
 {
-    check::FuzzOptions opt;
+    check::FuzzOptions opt = fuzzOptionsOf({"--config", kCases});
     opt.seed = 7;
     check::FuzzCampaign c1(opt), c2(opt);
     for (std::uint64_t i = 0; i < 4; ++i) {
@@ -389,14 +434,59 @@ TEST(FuzzCampaign, GenerationIsDeterministic)
     }
 }
 
+TEST(FuzzCampaign, SampledValuesLieOnTheirAxes)
+{
+    // Every case is the base plus one value of each axis: no value
+    // off its axis list, no knob set outside the axes and the base.
+    const check::FuzzOptions opt = fuzzOptionsOf(
+        {"--config", kCases, "--dram-latency", "300"});
+    check::FuzzCampaign camp(opt);
+    std::ifstream in(kCases);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    std::string err;
+    const auto spec = json::parse(text, &err);
+    ASSERT_NE(spec, nullptr) << err;
+    const json::Value &axes = *spec->find("axes");
+    const auto &reg = config::KnobRegistry::instance();
+    for (std::uint64_t i = 0; i < 50; ++i) {
+        const check::FuzzCase c = camp.generate(i);
+        EXPECT_EQ(c.scale, 1);
+        bool listed = false;
+        for (const json::Value &w : spec->find("workloads")->items)
+            listed = listed || w.asString() == c.workload;
+        EXPECT_TRUE(listed) << c.workload;
+        config::RunParams expect = opt.base;
+        expect.cfg.checkInvariants = true;
+        for (const config::Knob &k : reg.knobs()) {
+            const json::Value *list = axes.find(k.name);
+            if (!list)
+                continue;
+            const config::KnobValue v = k.get(c.params);
+            bool onAxis = false;
+            for (const json::Value &item : list->items)
+                onAxis = onAxis || k.fromJson(k.name, item) == v;
+            EXPECT_TRUE(onAxis) << k.name << "=" << v.toString();
+            k.set(expect, v);
+        }
+        check::FuzzCase e = c;
+        e.params = expect;
+        EXPECT_EQ(reg.resultDigest(c.params), reg.resultDigest(expect));
+        EXPECT_EQ(check::FuzzCampaign::describeCase(c),
+                  check::FuzzCampaign::describeCase(e));
+        EXPECT_EQ(c.params.cfg.dramLatency, 300u);
+        EXPECT_TRUE(c.params.cfg.watchdogCaptureEvents);
+    }
+}
+
 TEST(FuzzCampaign, QuickDifferentialCampaignPasses)
 {
     // Two seeded cases, all five schemes each, sanitizer + oracle.
     // Any divergence fails the test with the full failure report.
-    check::FuzzOptions opt;
+    check::FuzzOptions opt =
+        fuzzOptionsOf({"--config", kCases, "--workloads", "bfs,spmv"});
     opt.seed = 42;
     opt.cases = 2;
-    opt.workloads = {"bfs", "spmv"};
     check::FuzzCampaign camp(opt);
     check::FuzzFailure fail;
     bool ok = camp.run(&fail);
@@ -405,30 +495,16 @@ TEST(FuzzCampaign, QuickDifferentialCampaignPasses)
 
 TEST(FuzzCampaign, SeededFailureShrinksToAReplayableSpec)
 {
-    check::FuzzOptions opt;
-    opt.seed = 5;
-    check::FuzzCampaign camp(opt);
-
-    // A hand-built failing case with noise knobs the shrinker should
-    // strip: the armed rq-hold violation only needs the scheme and a
-    // fault-producing policy.
-    check::FuzzCase c;
-    c.workload = "bfs";
-    c.scale = 1;
-    c.params = config::RunParams::baseline();
-    const auto &reg = config::KnobRegistry::instance();
-    reg.find("policy")->set(c.params, config::KnobValue::ofEnum(
-                                          "demand-paging"));
-    reg.find("sms")->set(c.params, config::KnobValue::ofInt(4));
-    reg.find("operand-log-kb")->set(c.params,
-                                    config::KnobValue::ofInt(32));
-    reg.find("l1tlb.entries")->set(c.params,
-                                   config::KnobValue::ofInt(16));
-    reg.find("ideal-switch")->set(c.params,
-                                  config::KnobValue::ofBool(true));
+    // A one-point case space whose case fails, with noise axes the
+    // shrinker should strip: the armed rq-hold violation trips under
+    // the replay-queue scheme whatever the machine shape.
+    check::FuzzCampaign camp = campaignOf(R"({
+        "workloads": ["bfs"], "check.violate": "rq-hold",
+        "axes": {"ideal-switch": [true], "policy": ["demand-paging"],
+                 "operand-log-kb": [32], "l1tlb.entries": [16],
+                 "sms": [4]}})");
+    check::FuzzCase c = camp.generate(0);
     c.params.cfg.scheme = gpu::Scheme::ReplayQueue;
-    c.params.cfg.checkInvariants = true;
-    c.params.cfg.checkViolation = "rq-hold";
 
     check::FuzzFailure fail;
     ASSERT_FALSE(camp.runCase(c, &fail));
@@ -458,6 +534,7 @@ TEST(FuzzCampaign, SeededFailureShrinksToAReplayableSpec)
               std::string::npos)
         << spec;
 
+    const auto &reg = config::KnobRegistry::instance();
     check::FuzzCase replay;
     replay.scale = 1;
     replay.params = config::RunParams::baseline();
@@ -478,6 +555,58 @@ TEST(FuzzCampaign, SeededFailureShrinksToAReplayableSpec)
     check::FuzzFailure replayFail;
     EXPECT_FALSE(camp.runCase(replay, &replayFail));
     EXPECT_EQ(replayFail.kind, "InvariantError");
+}
+
+TEST(FuzzCampaign, ShrinkVisitsTheAxesInSpecOrder)
+{
+    // bfs on 4 SMs retires in ~31 k cycles, but one SM or a 2000-cycle
+    // DRAM each take it past the 50 k budget. Whichever axis comes
+    // first resets (the other still fails the case); the second then
+    // must stay, so the survivor names the spec's order.
+    auto shrunk = [](const std::string &axes) {
+        check::FuzzCampaign camp = campaignOf(
+            R"({"workloads": ["bfs"], "sms": 4, "max-cycles": 50000,
+                "axes": {)" + axes + "}}");
+        check::FuzzFailure fail;
+        fail.c = camp.generate(0);
+        fail.c.params.cfg.scheme = gpu::Scheme::ReplayQueue;
+        return check::FuzzCampaign::describeCase(camp.shrink(fail));
+    };
+    const std::string smsFirst =
+        shrunk(R"("sms": [1], "dram-latency": [2000])");
+    EXPECT_NE(smsFirst.find("sms=4"), std::string::npos) << smsFirst;
+    EXPECT_NE(smsFirst.find("dram-latency=2000"), std::string::npos)
+        << smsFirst;
+
+    const std::string dramFirst =
+        shrunk(R"("dram-latency": [2000], "sms": [1])");
+    EXPECT_NE(dramFirst.find("sms=1"), std::string::npos) << dramFirst;
+    EXPECT_EQ(dramFirst.find("dram-latency"), std::string::npos)
+        << dramFirst;
+}
+
+TEST(FuzzCampaign, UnknownAxisKnobIsAConfigError)
+{
+    const std::string msg = campaignErrorOf(
+        R"({"workloads": ["bfs"], "axes": {"smz": [2, 4]}})");
+    EXPECT_NE(msg.find("unknown knob 'smz'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("did you mean 'sms'"), std::string::npos) << msg;
+}
+
+TEST(FuzzCampaign, NoAxesOrASchemeAxisIsAConfigError)
+{
+    // Every case runs all five schemes, so a spec must give axes and
+    // none of them may be the scheme.
+    EXPECT_NE(campaignErrorOf(R"({"workloads": ["bfs"]})")
+                  .find("--config experiments/fuzz/cases.json"),
+              std::string::npos);
+    for (const char *spec :
+         {R"({"axes": {"scheme": ["baseline", "wd-commit"]}})",
+          R"({"axes": [{"sms": [2]}, {"sms": [4], "scheme": ["baseline"]}]})",
+          R"({"schemes": ["baseline"], "axes": {"sms": [2]}})"})
+        EXPECT_NE(campaignErrorOf(spec).find("all five schemes"),
+                  std::string::npos)
+            << spec;
 }
 
 } // namespace

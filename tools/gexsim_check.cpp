@@ -1,9 +1,10 @@
 /**
  * @file
  * gexsim-check: the self-checking campaign driver (docs/VALIDATION.md).
- * Generates CounterRng-seeded random points in the (workload, policy,
- * fault model, machine-shape) space and executes each under all five
- * exception schemes with the invariant sanitizer armed, checking
+ * Draws CounterRng-seeded random points from the case space of an
+ * experiment spec (experiments/fuzz/cases.json: workloads, knob axes
+ * and base keys) and executes each under all five exception schemes
+ * with the invariant sanitizer armed, checking
  *
  *  - the runtime protocol/structural invariants (SimSanitizer), and
  *  - the architectural oracle (functional replay + retired-instruction
@@ -13,8 +14,9 @@
  * reproducer, written as a JSON spec `gexsim-run --config FILE`
  * replays, and the driver exits with code 7 (InvariantError).
  *
- *   gexsim-check --seed 1 --cases 20 --repro repro.json
- *   gexsim-check --quick            # CI smoke: few cases, fast grid
+ *   gexsim-check --config experiments/fuzz/cases.json --seed 1 \
+ *                --cases 20 --repro repro.json
+ *   gexsim-check --config experiments/fuzz/cases.json --list-cases
  */
 
 #include <cstdio>
@@ -28,81 +30,56 @@ using namespace gex;
 
 namespace {
 
-struct Options {
-    std::uint64_t seed = 1;
-    int cases = 20;
-    std::string workloadsCsv;
-    std::string reproPath = "gexsim-check-repro.json";
-    std::string jsonPath;
-    bool captureEvents = true;
-    bool quick = false;
-    bool listCases = false;
-};
-
 int
 toolMain(int argc, char **argv)
 {
-    Options o;
+    check::FuzzOptions fo;
+    std::string reproPath = "gexsim-check-repro.json";
+    std::string jsonPath;
+    bool listCases = false;
 
     cli::ArgParser p("gexsim-check",
                      "differential fuzz campaigns over the simulator: "
-                     "sanitizer + architectural oracle on random "
-                     "configuration points");
-    p.synopsis("gexsim-check [--seed N] [--cases N] [--quick] "
-               "[--repro FILE]");
+                     "sanitizer + architectural oracle on configuration "
+                     "points sampled from a spec's axes");
+    p.synopsis("gexsim-check --config experiments/fuzz/cases.json "
+               "[--seed N] [--cases N] [--repro FILE]");
+    harness::addGridOptions(p, fo.grid);
     p.option("--seed", "N", "campaign seed (default 1)",
              [&](const std::string &v) {
-                 o.seed = static_cast<std::uint64_t>(
+                 fo.seed = static_cast<std::uint64_t>(
                      cli::parseInt("--seed", v, 0, INT64_MAX));
              });
-    p.option("--cases", "N", "number of generated cases (default 20)",
+    p.option("--cases", "N", "number of sampled cases (default 20)",
              [&](const std::string &v) {
-                 o.cases = cli::parseIntFlag("--cases", v, 1, 1 << 20);
+                 fo.cases = cli::parseIntFlag("--cases", v, 1, 1 << 20);
              });
-    p.option("--workloads", "A,B,...",
-             "workload pool (default: a curated fast subset)",
-             [&](const std::string &v) { o.workloadsCsv = v; });
     p.option("--repro", "FILE",
              "where to write the shrunk reproducer spec on failure "
              "(default gexsim-check-repro.json)",
-             [&](const std::string &v) { o.reproPath = v; });
+             [&](const std::string &v) { reproPath = v; });
     p.option("--json", "FILE", "write a campaign summary as JSON",
-             [&](const std::string &v) { o.jsonPath = v; });
-    p.flag("--no-capture-events",
-           "run without the last-K event ring (reports lose the "
-           "event tail)",
-           [&] { o.captureEvents = false; });
-    p.flag("--quick", "CI smoke: 6 cases",
-           [&] { o.quick = true; });
+             [&](const std::string &v) { jsonPath = v; });
     p.flag("--list-cases",
-           "print the generated cases without running them",
-           [&] { o.listCases = true; });
+           "print each case's axis values without running it",
+           [&] { listCases = true; });
+    p.bindKnobs(&fo.base);
     p.parse(argc, argv);
-
-    if (o.quick)
-        o.cases = 6;
-
-    check::FuzzOptions fo;
-    fo.seed = o.seed;
-    fo.cases = o.cases;
-    fo.captureEvents = o.captureEvents;
-    if (!o.workloadsCsv.empty())
-        fo.workloads = cli::splitCsv(o.workloadsCsv);
 
     check::FuzzCampaign camp(fo);
 
-    if (o.listCases) {
-        for (int i = 0; i < o.cases; ++i) {
-            const check::FuzzCase c =
-                camp.generate(static_cast<std::uint64_t>(i));
-            std::printf("case %3d: %s\n", i,
-                        check::FuzzCampaign::describeCase(c).c_str());
+    if (listCases) {
+        for (int i = 0; i < fo.cases; ++i) {
+            const harness::RunSpec rs = harness::sampleGrid(
+                fo.grid, fo.base, fo.seed, static_cast<std::uint64_t>(i));
+            std::printf("case %3d: %s x%d %s\n", i, rs.workload.c_str(),
+                        rs.scale, rs.series.c_str());
         }
         return 0;
     }
 
     std::printf("gexsim-check: seed %llu, %d cases x %zu schemes\n",
-                static_cast<unsigned long long>(o.seed), o.cases,
+                static_cast<unsigned long long>(fo.seed), fo.cases,
                 gpu::allSchemes().size());
 
     int passed = 0;
@@ -118,15 +95,15 @@ toolMain(int argc, char **argv)
             ++passed;
     });
 
-    if (!o.jsonPath.empty()) {
-        std::ofstream os(o.jsonPath);
+    if (!jsonPath.empty()) {
+        std::ofstream os(jsonPath);
         if (!os)
-            fatal("cannot open '%s' for writing", o.jsonPath.c_str());
+            fatal("cannot open '%s' for writing", jsonPath.c_str());
         json::Writer jw(os);
         jw.beginObject();
         jw.key("name").value("gexsim-check");
-        jw.key("seed").value(static_cast<std::uint64_t>(o.seed));
-        jw.key("cases").value(o.cases);
+        jw.key("seed").value(static_cast<std::uint64_t>(fo.seed));
+        jw.key("cases").value(fo.cases);
         jw.key("passed").value(passed);
         jw.key("ok").value(ok);
         if (!ok) {
@@ -139,7 +116,7 @@ toolMain(int argc, char **argv)
     }
 
     if (ok) {
-        std::printf("gexsim-check: all %d cases passed\n", o.cases);
+        std::printf("gexsim-check: all %d cases passed\n", fo.cases);
         return 0;
     }
 
@@ -149,15 +126,15 @@ toolMain(int argc, char **argv)
     const check::FuzzCase shrunk = camp.shrink(fail);
     const std::string spec = check::FuzzCampaign::reproSpecJson(shrunk);
     {
-        std::ofstream os(o.reproPath);
+        std::ofstream os(reproPath);
         if (!os)
-            fatal("cannot open '%s' for writing", o.reproPath.c_str());
+            fatal("cannot open '%s' for writing", reproPath.c_str());
         os << spec << "\n";
     }
     std::printf("minimal reproducer: %s\n",
                 check::FuzzCampaign::describeCase(shrunk).c_str());
     std::printf("wrote %s; replay with:\n  gexsim-run --config %s\n",
-                o.reproPath.c_str(), o.reproPath.c_str());
+                reproPath.c_str(), reproPath.c_str());
 
     // Surface the original failure through the taxonomy guard so the
     // process exits with the error's own code (7 for InvariantError).
@@ -167,7 +144,7 @@ toolMain(int argc, char **argv)
     throw InvariantError(
         strprintf("campaign case %llu failed [%s]; reproducer in %s\n%s",
                   static_cast<unsigned long long>(fail.c.index),
-                  fail.kind.c_str(), o.reproPath.c_str(),
+                  fail.kind.c_str(), reproPath.c_str(),
                   fail.message.c_str()),
         std::move(ctx));
 }

@@ -31,39 +31,6 @@ using namespace gex;
 namespace {
 
 /**
- * A run's axis values beyond its workload: its group's suffix, if
- * any, then its series ("link=pcie,policy=heap-faults-local"). A
- * figure's geomeans are taken per key, over the workloads.
- */
-std::string
-geomeanKey(const std::string &suffix, const std::string &series)
-{
-    return suffix.empty() ? series : suffix.substr(1) + "," + series;
-}
-
-std::string
-groupSuffix(const harness::RunRecord &r)
-{
-    return r.spec.groupLabel().substr(r.spec.workload.size());
-}
-
-std::map<std::string, double>
-geomeans(const std::vector<harness::RunRecord> &runs)
-{
-    std::map<std::string, std::vector<double>> byKey;
-    for (const harness::RunRecord &r : runs) {
-        auto it = r.derived.find("normalized");
-        if (r.ok() && it != r.derived.end() && it->second > 0.0)
-            byKey[geomeanKey(groupSuffix(r), r.spec.seriesLabel())]
-                .push_back(it->second);
-    }
-    std::map<std::string, double> out;
-    for (const auto &[key, xs] : byKey)
-        out[key] = geomean(xs);
-    return out;
-}
-
-/**
  * One row per group and one column per series, both in grid order:
  * the base series shows cycles, every other series its normalized
  * value. A GEOMEAN row follows per group suffix.
@@ -86,7 +53,7 @@ printTable(const std::vector<harness::RunRecord> &runs,
         const std::string g = r.spec.groupLabel();
         addOnce(groups, g);
         addOnce(series, r.spec.seriesLabel());
-        addOnce(suffixes, groupSuffix(r));
+        addOnce(suffixes, harness::groupSuffix(r.spec));
         cell[{g, r.spec.seriesLabel()}] = &r;
         gw = std::max(gw, g.size());
     }
@@ -125,7 +92,7 @@ printTable(const std::vector<harness::RunRecord> &runs,
         std::printf("%-*s", static_cast<int>(gw),
                     ("GEOMEAN" + suffix).c_str());
         for (const std::string &s : series) {
-            auto it = gms.find(geomeanKey(suffix, s));
+            auto it = gms.find(harness::geomeanKey(suffix, s));
             if (s == baseSeries || it == gms.end())
                 std::printf(" %*s", width(s), "");
             else
@@ -202,7 +169,7 @@ toolMain(int argc, char **argv)
     double wall = std::chrono::duration<double>(t1 - t0).count();
 
     harness::normalizeToSeries(runs, g.baseSeries);
-    std::map<std::string, double> gms = geomeans(runs);
+    std::map<std::string, double> gms = harness::seriesGeomeans(runs);
     printTable(runs, g.baseSeries, gms);
 
     std::size_t dropped = 0;
