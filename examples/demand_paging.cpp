@@ -5,19 +5,19 @@
  * CPU memory and compares plain demand paging against UC1 block
  * switching, printing the fault and scheduling activity.
  *
- *     ./examples/demand_paging [workload] [scale] [--trace-out FILE]
+ *     ./examples/demand_paging [workload] [scale]
  *
- * With --trace-out, the block-switching run is recorded through the
- * pipeline observer and written as Chrome-trace JSON (the context
- * save/restore events appear on per-slot tracks).
+ * To see the block-switching run's context save/restore events on
+ * per-slot tracks, record it as Chrome-trace JSON:
+ *
+ *     gexsim-run --workload sgemm --scale 3 --scheme replay-queue \
+ *                --policy demand-paging --block-switching \
+ *                --trace-out out.json
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
-#include <vector>
 
 #include "gex.hpp"
 
@@ -44,16 +44,8 @@ report(const char *label, const gpu::SimResult &r)
 int
 main(int argc, char **argv)
 {
-    const char *trace_out = nullptr;
-    std::vector<std::string> pos;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc)
-            trace_out = argv[++i];
-        else
-            pos.push_back(argv[i]);
-    }
-    std::string name = !pos.empty() ? pos[0] : "sgemm";
-    int scale = pos.size() > 1 ? std::atoi(pos[1].c_str()) : 3;
+    std::string name = argc > 1 ? argv[1] : "sgemm";
+    int scale = argc > 2 ? std::atoi(argv[2]) : 3;
     if (!workloads::exists(name)) {
         std::fprintf(stderr, "unknown workload '%s'\n", name.c_str());
         return 1;
@@ -89,23 +81,12 @@ main(int argc, char **argv)
     {
         cfg.blockSwitching = true;
         gpu::Gpu g(cfg);
-        obs::ChromeTraceWriter trace_writer;
-        if (trace_out) {
-            trace_writer.setProgram(&w.kernel.program);
-            g.setObserver(&trace_writer);
-        }
         auto r = g.run(w.kernel, tr, vm::VmPolicy::demandPaging());
         report("+ block switching", r);
         std::printf("\nblock switching speedup over plain demand "
                     "paging: %.3fx\n",
                     static_cast<double>(no_switch.cycles) /
                         static_cast<double>(r.cycles));
-        if (trace_out) {
-            std::ofstream out(trace_out);
-            trace_writer.write(out);
-            std::printf("wrote %zu pipeline events to %s\n",
-                        trace_writer.eventCount(), trace_out);
-        }
     }
     return 0;
 }

@@ -4,29 +4,18 @@
  * the functional simulator, then time it on the GPU model under every
  * exception handling scheme.
  *
- *     ./examples/quickstart [--trace-out FILE]
- *
- * With --trace-out, the demand-paging run at the end is recorded
- * through the pipeline observer and written as Chrome-trace JSON
- * (open in Perfetto).
+ *     ./examples/quickstart
  */
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 
 #include "gex.hpp"
 
 using namespace gex;
 
 int
-main(int argc, char **argv)
+main()
 {
-    const char *trace_out = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc)
-            trace_out = argv[++i];
-    }
     // --- 1. Write a kernel: out[i] = a[i] * b[i] + 1.0 --------------
     kasm::KernelBuilder b("saxpyish");
     b.setNumParams(3);
@@ -100,21 +89,10 @@ main(int argc, char **argv)
     gpu::GpuConfig cfg = gpu::GpuConfig::baseline();
     cfg.scheme = gpu::Scheme::ReplayQueue;
     gpu::Gpu g(cfg);
-    obs::ChromeTraceWriter trace_writer;
-    if (trace_out) {
-        trace_writer.setProgram(&k.program);
-        g.setObserver(&trace_writer);
-    }
     auto r = g.run(k, tr, vm::VmPolicy::demandPaging());
     std::printf("cycles %llu, migrations %.0f, data moved %.0f KB\n",
                 static_cast<unsigned long long>(r.cycles),
                 r.stats.get("mmu.migration_faults"),
                 r.stats.get("hostlink.bytes_migrated") / 1024.0);
-    if (trace_out) {
-        std::ofstream out(trace_out);
-        trace_writer.write(out);
-        std::printf("wrote %zu pipeline events to %s\n",
-                    trace_writer.eventCount(), trace_out);
-    }
     return 0;
 }

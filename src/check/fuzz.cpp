@@ -38,12 +38,11 @@ FuzzCampaign::FuzzCampaign(FuzzOptions opt) : opt_(std::move(opt))
     if (axes.isNull())
         fatal("gexsim-check samples its cases from a spec's axes; pass "
               "--config experiments/fuzz/cases.json");
-    bool scheme = opt_.grid.schemes || axes.find("scheme");
+    bool scheme = axes.find("scheme");
     for (const json::Value &block : axes.items)
         scheme = scheme || block.find("scheme");
     if (scheme)
-        fatal("every case runs all five schemes; drop --schemes and the "
-              "'scheme' axis");
+        fatal("every case runs all five schemes; drop the 'scheme' axis");
     generate(0); // the rest of the spec's validation, before any run
 }
 

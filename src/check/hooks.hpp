@@ -26,8 +26,9 @@ take(bool &flag)
 
 /** The deliberate violations the test harness can arm (at most one). */
 struct ViolationHooks {
-    /** Issue stage: release a replay-queue source hold at operand
-     *  read, violating the scheme's hold-until-last-check protocol. */
+    /** Issue stage: release the source hold of the first instruction
+     *  re-issued from the replay queue at operand read, violating the
+     *  scheme's hold-until-last-check protocol. */
     bool breakRqHold = false;
     /** Operand-collect: drop an operand-log release, leaking the
      *  partition bytes the entry held. */

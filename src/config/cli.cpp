@@ -81,15 +81,6 @@ ArgParser::flag(std::string flag, std::string doc,
 }
 
 void
-ArgParser::positional(std::string name, std::string doc,
-                      std::function<void(const std::string &)> setter)
-{
-    positionalName_ = std::move(name);
-    positionalDoc_ = std::move(doc);
-    positionalSetter_ = std::move(setter);
-}
-
-void
 ArgParser::bindKnobs(config::RunParams *params)
 {
     params_ = params;
@@ -217,8 +208,6 @@ ArgParser::printHelp() const
             std::printf("  %s\n  %s%s\n", left.c_str(),
                         std::string(30, ' ').c_str(), doc.c_str());
     };
-    if (!positionalName_.empty())
-        line(positionalName_, positionalDoc_);
     for (const Option &o : options_) {
         if (o.jsonSetter) {
             line("spec key " + o.specKey, o.doc);
@@ -299,13 +288,9 @@ ArgParser::parse(int argc, char **argv)
             ++i; // already applied
             continue;
         }
-        if (!a.empty() && a[0] != '-') {
-            if (!positionalSetter_)
-                throw ConfigError(
-                    strprintf("unexpected argument '%s'", a.c_str()));
-            positionalSetter_(a);
-            continue;
-        }
+        if (!a.empty() && a[0] != '-')
+            throw ConfigError(
+                strprintf("unexpected argument '%s'", a.c_str()));
         if (const Option *o = findOption(a)) {
             if (o->setter)
                 o->setter(valueOf(i, a));

@@ -207,10 +207,6 @@ class ArgParser
     void flag(std::string flag, std::string doc,
               std::function<void()> setter);
 
-    /** The positional argument (gexsim-asm FILE); at most one. */
-    void positional(std::string name, std::string doc,
-                    std::function<void(const std::string &)> setter);
-
     /**
      * Bind the knob registry to @p params: enables every knob flag,
      * --config, --dump-knobs, and the knob section of --help. @p params
@@ -253,8 +249,6 @@ class ArgParser
     std::string description_;
     std::string synopsis_;
     std::vector<Option> options_;
-    std::string positionalName_, positionalDoc_;
-    std::function<void(const std::string &)> positionalSetter_;
     config::RunParams *params_ = nullptr;
     std::vector<std::string> configFiles_;
 };

@@ -226,10 +226,6 @@ addGridOptions(cli::ArgParser &p, GridSpec &g)
              "explicit workload list (overrides --suite)",
              [&g](const std::string &v) { g.workloads = cli::splitCsv(v); },
              "workloads");
-    p.option("--schemes", "A,B,C",
-             "scheme axis (default all five; exclusive with axes)",
-             [&g](const std::string &v) { g.schemes = cli::splitCsv(v); },
-             "schemes");
     p.option("--scale", "N",
              "scale of the workloads scales does not name (default 1)",
              [&g](const std::string &v) {
@@ -242,6 +238,16 @@ addGridOptions(cli::ArgParser &p, GridSpec &g)
               [&g](const json::Value &v) { g.axes = v; });
     p.specKey("scales", "grid: workload -> scale",
               [&g](const json::Value &v) { g.scales = v; });
+}
+
+void
+addSweepGridOptions(cli::ArgParser &p, GridSpec &g)
+{
+    addGridOptions(p, g);
+    p.option("--schemes", "A,B,C",
+             "scheme axis (default all five; exclusive with axes)",
+             [&g](const std::string &v) { g.schemes = cli::splitCsv(v); },
+             "schemes");
     p.specKey("normalize",
               "grid: knob -> value of the base points (default: first "
               "value of the first axis)",

@@ -34,7 +34,8 @@ struct GridSpec {
     std::optional<std::vector<std::string>> workloads;
     /**
      * Scheme list: shorthand for axes {"scheme": [...]}, exclusive
-     * with axes. With neither, the grid is all five schemes.
+     * with axes. With neither, the grid is all five schemes. Set only
+     * by addSweepGridOptions.
      */
     std::optional<std::vector<std::string>> schemes;
     /** Scale of every workload the scales map does not name. */
@@ -50,17 +51,24 @@ struct GridSpec {
     json::Value axes;
     /**
      * "normalize": object of knob -> value selecting the base points
-     * (null: the first value of the first axis).
+     * (null: the first value of the first axis). Set only by
+     * addSweepGridOptions; sampleGrid does not read it.
      */
     json::Value normalize;
 };
 
 /**
- * Register the grid's driver options on @p p, writing into @p g: the
- * flags/spec keys --suite, --workloads, --schemes and --scale, and
- * the spec-only keys axes, scales and normalize.
+ * Register the grid options sampleGrid reads on @p p, writing into
+ * @p g: the flags/spec keys --suite, --workloads and --scale, and the
+ * spec-only keys axes and scales.
  */
 void addGridOptions(cli::ArgParser &p, GridSpec &g);
+
+/**
+ * addGridOptions plus the options only expandGrid reads: the flag/spec
+ * key --schemes and the spec-only key normalize.
+ */
+void addSweepGridOptions(cli::ArgParser &p, GridSpec &g);
 
 /** An expanded grid: its points in run order and its base series. */
 struct Grid {

@@ -3,7 +3,7 @@
  * Textual pipeline view: an observer that keeps the last N
  * instruction-lifecycle events in a ring and renders them as a
  * human-readable table — the tool behind the paper's Figure 3/4/6/7
- * style walkthroughs (examples/pipeline_diagrams.cpp), gexsim-trace
+ * style walkthroughs (examples/pipeline_diagrams.cpp), gexsim-run
  * --view, and the event tail of the watchdog's and the sanitizer's
  * diagnostics (gpu::Gpu builds one when watchdogCaptureEvents is set).
  */

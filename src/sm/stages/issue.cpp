@@ -137,6 +137,7 @@ IssueStage::tryIssueHead(int w, Cycle now)
     }
 
     // --- issue ---
+    const bool replayed = wr.ibuf.front().replayed;
     wr.ibuf.pop_front();
     st_.wakeWarp(w); // buffer space freed
     const Cycle op_read = now + 1;
@@ -185,10 +186,11 @@ IssueStage::tryIssueHead(int w, Cycle now)
         // held until it is squashed (its last TLB check never comes).
         if (st_.policy.releaseSourcesAtOperandRead(true)) {
             st_.scheduleInstEvent(op_read, EvKind::SourceRelease, w, id);
-        } else if (st_.san &&
+        } else if (replayed && st_.san &&
                    check::take(st_.san->hooks.breakRqHold)) {
             // Deliberate protocol break (check/hooks.hpp): release the
-            // replay-queue hold at operand read anyway.
+            // hold of the first instruction re-issued from the replay
+            // queue at operand read anyway.
             st_.scheduleInstEvent(op_read, EvKind::SourceRelease, w, id);
         }
     } else {

@@ -115,6 +115,20 @@ TEST(SeededViolations, RqHoldWithoutCapturePointsAtTheKnob)
         << e.diagnostics();
 }
 
+TEST(SeededViolations, RqHoldWaitsForAReplayedInstruction)
+{
+    // Without faults nothing replays, so the armed hook never fires
+    // and the checked run completes.
+    const harness::TracedWorkload &tw = cache().get("bfs");
+    gpu::GpuConfig cfg = gpu::GpuConfig::baseline();
+    cfg.scheme = gpu::Scheme::ReplayQueue;
+    cfg.checkInvariants = true;
+    cfg.checkViolation = "rq-hold";
+    gpu::Gpu g(cfg);
+    const gpu::SimResult r = g.run(tw.kernel, tw.trace);
+    EXPECT_EQ(r.instructions, tw.trace.dynamicInsts());
+}
+
 TEST(SeededViolations, OlLeakTripsTheDrainLeakChecker)
 {
     InvariantError e = runSeededViolation(gpu::Scheme::OperandLog,
@@ -517,6 +531,9 @@ TEST(FuzzCampaign, SeededFailureShrinksToAReplayableSpec)
     // The noise knobs reset; the essentials survive.
     EXPECT_EQ(shrunk.params.cfg.scheme, gpu::Scheme::ReplayQueue);
     EXPECT_EQ(shrunk.params.cfg.checkViolation, "rq-hold");
+    // rq-hold breaks the hold of a replayed instruction, so the
+    // faults that cause replays must survive.
+    EXPECT_STREQ(vm::policyName(shrunk.params.policy), "demand-paging");
     std::string desc = check::FuzzCampaign::describeCase(shrunk);
     EXPECT_EQ(desc.find("operand-log-kb"), std::string::npos) << desc;
     EXPECT_EQ(desc.find("l1tlb.entries"), std::string::npos) << desc;
@@ -602,11 +619,14 @@ TEST(FuzzCampaign, NoAxesOrASchemeAxisIsAConfigError)
               std::string::npos);
     for (const char *spec :
          {R"({"axes": {"scheme": ["baseline", "wd-commit"]}})",
-          R"({"axes": [{"sms": [2]}, {"sms": [4], "scheme": ["baseline"]}]})",
-          R"({"schemes": ["baseline"], "axes": {"sms": [2]}})"})
+          R"({"axes": [{"sms": [2]}, {"sms": [4], "scheme": ["baseline"]}]})"})
         EXPECT_NE(campaignErrorOf(spec).find("all five schemes"),
                   std::string::npos)
             << spec;
+    // The sweep's scheme shorthand is not a key gexsim-check reads.
+    const std::string msg = campaignErrorOf(
+        R"({"schemes": ["baseline"], "axes": {"sms": [2]}})");
+    EXPECT_NE(msg.find("unknown key 'schemes'"), std::string::npos) << msg;
 }
 
 } // namespace

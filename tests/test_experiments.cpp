@@ -37,7 +37,7 @@ gridOf(std::vector<std::string> args)
     harness::GridSpec g;
     config::RunParams p;
     cli::ArgParser ap("t", "test");
-    harness::addGridOptions(ap, g);
+    harness::addSweepGridOptions(ap, g);
     ap.bindKnobs(&p);
     args.insert(args.begin(), "t");
     std::vector<char *> argv;

@@ -387,7 +387,7 @@ gridError(std::vector<std::string> args)
     harness::GridSpec g;
     config::RunParams p;
     cli::ArgParser ap("t", "test");
-    harness::addGridOptions(ap, g);
+    harness::addSweepGridOptions(ap, g);
     ap.bindKnobs(&p);
     args.insert(args.begin(), "t");
     std::vector<char *> argv;

@@ -115,7 +115,7 @@ toolMain(int argc, char **argv)
                      "parallel experiment-grid driver");
     p.synopsis("gexsim-sweep [--config spec.json] [--suite S | "
                "--workloads A,B] [--schemes A,B] [knob flags...]");
-    harness::addGridOptions(p, grid);
+    harness::addSweepGridOptions(p, grid);
     p.option("--jobs", "N",
              "worker threads (default 1; 0 = all cores)",
              [&](const std::string &v) {
