@@ -16,7 +16,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "gex.hpp"
@@ -39,18 +38,10 @@ report(const char *label, const gpu::SimResult &r)
                 r.stats.get("sm.context_bytes_moved") / 1024.0);
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+/** The three runs of @p name at @p scale, reported. */
+void
+simulate(const std::string &name, int scale)
 {
-    std::string name = argc > 1 ? argv[1] : "sgemm";
-    int scale = argc > 2 ? std::atoi(argv[2]) : 3;
-    if (!workloads::exists(name)) {
-        std::fprintf(stderr, "unknown workload '%s'\n", name.c_str());
-        return 1;
-    }
-
     func::GlobalMemory mem;
     auto w = workloads::make(name, mem, scale);
     func::FunctionalSim fsim(mem);
@@ -88,5 +79,20 @@ main(int argc, char **argv)
                     static_cast<double>(no_switch.cycles) /
                         static_cast<double>(r.cycles));
     }
-    return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return cli::run("demand_paging", [&] {
+        const std::string name = argc > 1 ? argv[1] : "sgemm";
+        const int scale =
+            argc > 2 ? cli::parseIntFlag("scale", argv[2], 1, 1 << 20) : 3;
+        if (!workloads::exists(name))
+            fatal("unknown workload '%s'", name.c_str());
+        simulate(name, scale);
+        return 0;
+    });
 }

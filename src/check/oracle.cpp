@@ -67,16 +67,24 @@ fingerprint(const func::GlobalMemory &mem, const trace::KernelTrace &trace)
 ArchOracle::ArchOracle(std::string workload, int scale,
                        const func::GlobalMemory &mem,
                        const trace::KernelTrace &trace)
-    : workload_(std::move(workload)), scale_(scale),
-      ref_(fingerprint(mem, trace))
+    : workload_(std::move(workload)), scale_(scale), mem_(&mem),
+      trace_(&trace), dynamicInsts_(trace.dynamicInsts())
 {
+}
+
+const ArchFingerprint &
+ArchOracle::reference() const
+{
+    if (!ref_)
+        ref_ = fingerprint(*mem_, *trace_);
+    return *ref_;
 }
 
 void
 ArchOracle::verifyTiming(const gpu::SimResult &r,
                          const gpu::GpuConfig &cfg) const
 {
-    if (r.instructions == ref_.dynamicInsts)
+    if (r.instructions == dynamicInsts_)
         return;
     ErrorContext ctx;
     ctx.scheme = gpu::schemeName(cfg.scheme);
@@ -85,7 +93,7 @@ ArchOracle::verifyTiming(const gpu::SimResult &r,
         strprintf("architectural oracle: timing simulator retired %llu "
                   "instructions but the functional trace has %llu",
                   static_cast<unsigned long long>(r.instructions),
-                  static_cast<unsigned long long>(ref_.dynamicInsts)),
+                  static_cast<unsigned long long>(dynamicInsts_)),
         std::move(ctx));
 }
 
@@ -97,7 +105,7 @@ ArchOracle::verifyReplay() const
     func::FunctionalSim sim(mem);
     trace::KernelTrace replay = sim.run(wl.kernel);
     ArchFingerprint fp = fingerprint(mem, replay);
-    if (fp == ref_)
+    if (fp == reference())
         return;
     ErrorContext ctx;
     ctx.workload = workload_;
@@ -105,7 +113,7 @@ ArchOracle::verifyReplay() const
         strprintf("architectural oracle: functional replay diverged "
                   "from the reference execution (replay: %s; "
                   "reference: %s)",
-                  fp.toString().c_str(), ref_.toString().c_str()),
+                  fp.toString().c_str(), reference().toString().c_str()),
         std::move(ctx));
 }
 

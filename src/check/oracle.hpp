@@ -26,6 +26,7 @@
 #define GEX_CHECK_ORACLE_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "common/types.hpp"
@@ -82,17 +83,27 @@ ArchFingerprint fingerprint(const func::GlobalMemory &mem,
                             const trace::KernelTrace &trace);
 
 /**
- * One workload's oracle: captures the reference fingerprint at
- * construction, then checks timing results and replays against it.
+ * One workload's oracle: checks timing results and replays against the
+ * reference execution it was built from. The reference fingerprint is
+ * taken on the first reference() or verifyReplay() call, not at
+ * construction, so an oracle that only checks timing never hashes the
+ * memory image and trace. Not thread-safe.
  */
 class ArchOracle
 {
   public:
+    /**
+     * The oracle keeps references to @p mem and @p trace: both must
+     * outlive it and stay unchanged until the first reference() or
+     * verifyReplay() call. The instruction count verifyTiming checks
+     * is read here.
+     */
     ArchOracle(std::string workload, int scale,
                const func::GlobalMemory &mem,
                const trace::KernelTrace &trace);
 
-    const ArchFingerprint &reference() const { return ref_; }
+    /** The reference fingerprint (taken on the first call). */
+    const ArchFingerprint &reference() const;
 
     /**
      * Check a timing-simulation result against the trace: the retired
@@ -115,7 +126,10 @@ class ArchOracle
   private:
     std::string workload_;
     int scale_;
-    ArchFingerprint ref_;
+    const func::GlobalMemory *mem_;
+    const trace::KernelTrace *trace_;
+    std::uint64_t dynamicInsts_;
+    mutable std::optional<ArchFingerprint> ref_;
 };
 
 } // namespace gex::check

@@ -23,7 +23,8 @@
  *                        violating a modeled-hardware invariant
  *
  * panic() / GEX_ASSERT remain aborting: they flag simulator bugs, not
- * survivable events. fatal() (common/log.hpp) throws ConfigError.
+ * survivable events (only speculative work, inside a PanicsThrow,
+ * catches them). fatal() (common/log.hpp) throws ConfigError.
  */
 
 #ifndef GEX_COMMON_ERROR_HPP

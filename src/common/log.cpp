@@ -10,6 +10,7 @@ namespace gex {
 
 namespace {
 LogLevel g_level = LogLevel::Warn;
+thread_local bool t_panicsThrow = false;
 
 std::string
 vstrprintf(const char *fmt, va_list ap)
@@ -55,8 +56,20 @@ panic(const char *fmt, ...)
     va_start(ap, fmt);
     std::string msg = vstrprintf(fmt, ap);
     va_end(ap);
+    if (t_panicsThrow)
+        throw SpeculativePanic(msg);
     std::fprintf(stderr, "[gex PANIC] %s\n", msg.c_str());
     std::abort();
+}
+
+PanicsThrow::PanicsThrow() : outer_(t_panicsThrow)
+{
+    t_panicsThrow = true;
+}
+
+PanicsThrow::~PanicsThrow()
+{
+    t_panicsThrow = outer_;
 }
 
 void
@@ -77,6 +90,9 @@ panicAssert(const char *cond, const char *file, int line, const char *fmt,
     va_start(ap, fmt);
     std::string msg = vstrprintf(fmt, ap);
     va_end(ap);
+    if (t_panicsThrow)
+        throw SpeculativePanic(strprintf("assertion failed: %s (%s:%d) %s",
+                                         cond, file, line, msg.c_str()));
     std::fprintf(stderr, "[gex PANIC] assertion failed: %s (%s:%d) %s\n",
                  cond, file, line, msg.c_str());
     std::abort();

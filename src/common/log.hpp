@@ -8,6 +8,7 @@
 #define GEX_COMMON_LOG_HPP
 
 #include <cstdarg>
+#include <stdexcept>
 #include <string>
 
 namespace gex {
@@ -37,6 +38,35 @@ void logf(LogLevel lvl, const char *fmt, ...)
  */
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/**
+ * What panic() and a failed GEX_ASSERT throw, in place of aborting, on
+ * a thread that holds a PanicsThrow.
+ */
+class SpeculativePanic : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+/**
+ * While one is alive, panic() and failed GEX_ASSERTs on its thread
+ * throw SpeculativePanic instead of printing and aborting. Work that
+ * may run on stale inputs holds one (the functional simulator's
+ * speculative thread blocks): its failure is discarded and the work
+ * redone exactly, where a real simulator bug still aborts.
+ */
+class PanicsThrow
+{
+  public:
+    PanicsThrow();
+    ~PanicsThrow();
+    PanicsThrow(const PanicsThrow &) = delete;
+    PanicsThrow &operator=(const PanicsThrow &) = delete;
+
+  private:
+    bool outer_;
+};
 
 /** printf into a std::string. */
 std::string strprintf(const char *fmt, ...)

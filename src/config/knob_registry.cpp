@@ -844,11 +844,35 @@ std::vector<std::pair<const Knob *, KnobValue>>
 KnobRegistry::changed(const RunParams &p) const
 {
     std::vector<std::pair<const Knob *, KnobValue>> out;
+    // Presets come first in the registry, so @p q is the baseline with
+    // every listed preset applied when the components are compared.
+    RunParams q = RunParams::baseline();
+    for (const Knob &k : knobs_) {
+        if (!k.preset)
+            continue;
+        KnobValue v = k.get(p);
+        const std::string name = v.toString();
+        if (v == k.get(q) || std::find(k.enumValues.begin(),
+                                       k.enumValues.end(),
+                                       name) == k.enumValues.end())
+            continue; // at its default, or no preset ("custom")
+        RunParams t = q;
+        k.set(t, v);
+        const bool names = std::any_of(
+            knobs_.begin(), knobs_.end(), [&](const Knob &c) {
+                return !c.preset && c.get(t) != c.get(q) &&
+                       c.get(t) == c.get(p);
+            });
+        if (names) {
+            q = std::move(t);
+            out.emplace_back(&k, std::move(v));
+        }
+    }
     for (const Knob &k : knobs_) {
         if (k.preset)
             continue;
         KnobValue v = k.get(p);
-        if (v != k.def)
+        if (v != k.get(q))
             out.emplace_back(&k, std::move(v));
     }
     return out;

@@ -198,9 +198,12 @@ class KnobRegistry
     void writeManifest(json::Writer &w, const RunParams &p) const;
 
     /**
-     * The non-preset knobs of @p p off their defaults, execution-only
-     * ones included, in registry order: set over RunParams::baseline(),
-     * they rebuild @p p, armed checkers and all.
+     * The knobs of @p p off their defaults, execution-only ones
+     * included, in registry order: set over RunParams::baseline(),
+     * they rebuild @p p, armed checkers and all. A preset is named in
+     * place of the component knobs it sets to @p p's values
+     * ("policy=heap-faults", not its policy.* knobs); only components
+     * that differ from the preset's follow it.
      */
     std::vector<std::pair<const Knob *, KnobValue>>
     changed(const RunParams &p) const;

@@ -8,22 +8,29 @@
 #ifndef GEX_FUNC_FUNCTIONAL_SIM_HPP
 #define GEX_FUNC_FUNCTIONAL_SIM_HPP
 
-#include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "func/kernel.hpp"
 #include "func/memory.hpp"
-#include "func/simt_stack.hpp"
 #include "trace/trace.hpp"
 
 namespace gex::func {
 
 /**
- * Functional executor. Thread blocks run one at a time (launch order);
- * warps within a block interleave at instruction granularity with
- * correct barrier semantics, so intra-block shared-memory communication
- * behaves as on hardware.
+ * Functional executor. Warps within a block interleave at instruction
+ * granularity with correct barrier semantics, so intra-block
+ * shared-memory communication behaves as on hardware.
+ *
+ * Thread blocks run speculatively on worker threads and commit in
+ * launch order on the calling thread, so the trace, the memory image
+ * and every error are those of running the blocks one at a time in
+ * launch order, at any worker count. A worker runs a block against the
+ * committed memory plus a private overlay and records the pages it
+ * reads and a log of its writes. A block that read no page an earlier
+ * block of its window wrote replays its log into the memory; any other
+ * block, one that threw included, runs again on the committed memory,
+ * and so does the rest of the kernel. A kernel with ALLOC runs
+ * serially (docs/PERFORMANCE.md, "Block-parallel tracing").
  *
  * A warp executes a whole instruction at once: registers are stored
  * per warp as rows of 32 lanes and predicates as one lane mask per
@@ -34,45 +41,36 @@ class FunctionalSim
 {
   public:
     /**
-     * @param mem  global memory image (inputs pre-filled by the caller;
-     *             outputs and heap written during execution)
+     * @param mem      global memory image (inputs pre-filled by the
+     *                 caller; outputs and heap written during execution)
+     * @param workers  threads that trace blocks, the calling one
+     *                 included; 0 means the host's CPU count. Clamped
+     *                 to the block count; 1 runs the blocks serially.
      */
-    explicit FunctionalSim(GlobalMemory &mem) : mem_(mem) {}
+    explicit FunctionalSim(GlobalMemory &mem, unsigned workers = 0);
 
     /**
      * Execute @p kernel to completion and return its dynamic trace.
      * Fatal on malformed kernels (unbound divergence, missing barrier
-     * convergence, heap exhaustion).
+     * convergence, heap exhaustion). Every worker thread is joined
+     * before it returns or throws.
      */
     trace::KernelTrace run(const Kernel &kernel);
 
     /** Cap on dynamic warp instructions per block (runaway guard). */
     void setMaxWarpInsts(std::uint64_t n) { maxWarpInsts_ = n; }
 
+    /**
+     * Blocks of the last run() that committed from speculation; the
+     * rest ran serially. A diagnostic: no trace or stat carries it.
+     */
+    std::uint32_t speculatedBlocks() const { return speculated_; }
+
   private:
-    struct WarpExec;
-    struct BlockExec;
-
-    void runBlock(const Kernel &kernel, std::uint32_t block_id,
-                  trace::BlockTrace &out);
-    /** Execute one instruction of warp @p w; returns false if stalled
-     *  at a barrier or finished. */
-    bool stepWarp(const Kernel &kernel, BlockExec &blk, WarpExec &w,
-                  trace::WarpTrace &out);
-
-    /** Coalesce one global-memory instruction's lane addresses into
-     *  @p out's line pool and count it toward memInsts/memRequests. */
-    void recordLines(const Addr *addrs, std::size_t n,
-                     trace::TraceInst &ti, trace::WarpTrace &out);
-
     GlobalMemory &mem_;
+    unsigned workers_;
     std::uint64_t maxWarpInsts_ = 50'000'000;
-    std::uint64_t memInsts_ = 0;
-    std::uint64_t memRequests_ = 0;
-    /** Register rows standing in for RZ as a destination (writes are
-     *  discarded) and for an immediate second operand. */
-    std::uint64_t sinkRow_[kWarpSize] = {};
-    std::uint64_t immRow_[kWarpSize] = {};
+    std::uint32_t speculated_ = 0;
 };
 
 } // namespace gex::func

@@ -41,11 +41,21 @@ GlobalMemory::touchPage(Addr page_num)
     return memo_.page->data();
 }
 
-const GlobalMemory::Page *
-GlobalMemory::pageIfPresent(Addr page_num) const
+const std::uint64_t *
+GlobalMemory::peekPage(Addr page_num) const
 {
     auto it = pages_.find(page_num);
-    return it == pages_.end() ? nullptr : &it->second;
+    return it == pages_.end() ? nullptr : it->second.data();
+}
+
+void
+GlobalMemory::adoptPage(Addr page_num, std::vector<std::uint64_t> &&words)
+{
+    GEX_ASSERT(words.size() == kPageSize / 8, "adopted page of %zu words",
+               words.size());
+    const bool fresh = pages_.emplace(page_num, std::move(words)).second;
+    GEX_ASSERT(fresh, "adopted page 0x%llx exists",
+               static_cast<unsigned long long>(page_num));
 }
 
 std::uint64_t
@@ -60,8 +70,8 @@ std::uint64_t
 GlobalMemory::read64(Addr a) const
 {
     checkAligned(a);
-    const Page *p = pageIfPresent(pageOf(a));
-    return p ? (*p)[wordIndex(a)] : 0;
+    const std::uint64_t *words = peekPage(pageOf(a));
+    return words ? words[wordIndex(a)] : 0;
 }
 
 void

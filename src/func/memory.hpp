@@ -114,6 +114,28 @@ class GlobalMemory
      */
     Addr allocFromHeap(std::uint64_t bytes);
 
+    /**
+     * Words of page @p pageNum, or nullptr if it was never written. It
+     * neither moves the last-page memo nor creates a page, so threads
+     * may call it concurrently while none writes.
+     */
+    const std::uint64_t *peekPage(Addr pageNum) const;
+
+    /**
+     * Install @p words (kPageSize / 8 of them) as page @p pageNum,
+     * which must be absent: a page filled elsewhere, taken as is.
+     */
+    void adoptPage(Addr pageNum, std::vector<std::uint64_t> &&words);
+
+    /** Index of @p a's word within its page. */
+    static std::size_t
+    wordIndex(Addr a)
+    {
+        return static_cast<std::size_t>(a % kPageSize) / 8;
+    }
+    /** Accesses are 8-byte aligned (fatal otherwise). */
+    static void checkAligned(Addr a);
+
     /** Pages ever written; reading an absent page returns 0 and adds none. */
     std::size_t touchedPages() const { return pages_.size(); }
 
@@ -151,21 +173,11 @@ class GlobalMemory
         }
     };
 
-    /** Index of @p a's word within its page. */
-    static std::size_t
-    wordIndex(Addr a)
-    {
-        return static_cast<std::size_t>(a % kPageSize) / 8;
-    }
-    /** Accesses are 8-byte aligned (fatal otherwise). */
-    static void checkAligned(Addr a);
-
     /** Words of page @p pageNum through the memo; nullptr if absent. */
     std::uint64_t *findPage(Addr pageNum);
     /** Words of page @p pageNum through the memo, zero-filled on
      *  first touch. */
     std::uint64_t *touchPage(Addr pageNum);
-    const Page *pageIfPresent(Addr pageNum) const;
 
     std::unordered_map<Addr, Page> pages_;
     PageMemo memo_;

@@ -22,7 +22,8 @@ buildTraced(const std::string &name, int scale)
     tw.mem = std::make_unique<func::GlobalMemory>();
     auto w = workloads::make(name, *tw.mem, scale);
     tw.kernel = std::move(w.kernel);
-    func::FunctionalSim fsim(*tw.mem);
+    // One worker: the sweep's jobs already occupy the cores.
+    func::FunctionalSim fsim(*tw.mem, 1);
     tw.trace = fsim.run(tw.kernel);
     return tw;
 }

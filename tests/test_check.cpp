@@ -493,6 +493,34 @@ TEST(FuzzCampaign, SampledValuesLieOnTheirAxes)
     }
 }
 
+TEST(FuzzCampaign, ReproducersNameThePreset)
+{
+    // A case drawn with policy=heap-faults reports the preset, not the
+    // policy.* component knobs it sets, and its repro spec rebuilds
+    // the same parameters.
+    check::FuzzCampaign camp = campaignOf(R"({
+        "workloads": ["bfs"], "axes": {"policy": ["heap-faults"]}})");
+    const check::FuzzCase c = camp.generate(0);
+    const std::string desc = check::FuzzCampaign::describeCase(c);
+    EXPECT_NE(desc.find(" policy=heap-faults"), std::string::npos) << desc;
+    EXPECT_EQ(desc.find("policy."), std::string::npos) << desc;
+    const std::string spec = check::FuzzCampaign::reproSpecJson(c);
+    EXPECT_NE(spec.find("\"policy\": \"heap-faults\""), std::string::npos)
+        << spec;
+    EXPECT_EQ(spec.find("policy."), std::string::npos) << spec;
+
+    const auto &reg = config::KnobRegistry::instance();
+    config::RunParams replay = config::RunParams::baseline();
+    reg.applySpecText(replay, spec, "repro.json",
+                      [](const std::string &key, const json::Value &) {
+                          return key == "workload" || key == "scale";
+                      });
+    EXPECT_EQ(reg.resultDigest(replay), reg.resultDigest(c.params));
+    check::FuzzCase r = c;
+    r.params = replay;
+    EXPECT_EQ(check::FuzzCampaign::describeCase(r), desc);
+}
+
 TEST(FuzzCampaign, QuickDifferentialCampaignPasses)
 {
     // Two seeded cases, all five schemes each, sanitizer + oracle.
