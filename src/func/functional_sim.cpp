@@ -1,7 +1,6 @@
 #include "func/functional_sim.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <condition_variable>
@@ -1095,8 +1094,13 @@ callsAlloc(const isa::Program &prog)
 /**
  * The threads of one speculative trace: the calling thread and
  * workers - 1 helpers, which run a job on every block of a window and
- * return together. The helpers are jthreads, so they stop and are
- * joined when the crew is destroyed, also by an exception.
+ * return together. Worker w takes the window's blocks w, w + workers,
+ * w + 2 * workers, ...: a fixed share, so each thread, the calling one
+ * included, allocates the same things in the same order every run.
+ * The calling thread's heap, which every later timing run reuses,
+ * then does not depend on thread timing. The helpers are jthreads, so
+ * they stop and are joined when the crew is destroyed, also by an
+ * exception.
  */
 class Crew
 {
@@ -1104,7 +1108,7 @@ class Crew
     /** @p job(worker, block) must not throw. */
     using Job = std::function<void(unsigned, std::uint32_t)>;
 
-    Crew(unsigned workers, Job job) : job_(std::move(job))
+    Crew(unsigned workers, Job job) : job_(std::move(job)), stride_(workers)
     {
         for (unsigned w = 1; w < workers; ++w)
             helpers_.emplace_back(
@@ -1119,7 +1123,7 @@ class Crew
     {
         {
             std::lock_guard<std::mutex> lock(mu_);
-            next_.store(lo, std::memory_order_relaxed);
+            lo_ = lo;
             end_ = hi;
             busy_ = helpers_.size();
             ++window_;
@@ -1134,8 +1138,7 @@ class Crew
     void
     work(unsigned w)
     {
-        for (std::uint64_t b;
-             (b = next_.fetch_add(1, std::memory_order_relaxed)) < end_;)
+        for (std::uint64_t b = std::uint64_t{lo_} + w; b < end_; b += stride_)
             job_(w, static_cast<std::uint32_t>(b));
     }
 
@@ -1158,10 +1161,11 @@ class Crew
     }
 
     Job job_;
+    unsigned stride_;
     std::mutex mu_;
     std::condition_variable_any wake_;
     std::condition_variable done_;
-    std::atomic<std::uint64_t> next_{0}; ///< wide: never wraps past end_
+    std::uint32_t lo_ = 0; ///< the window, set under mu_
     std::uint32_t end_ = 0;
     std::size_t busy_ = 0;
     std::uint64_t window_ = 0;
